@@ -5,122 +5,153 @@
 
 #include "common/contracts.hh"
 #include "common/logging.hh"
-#include "gpu/gpu_system.hh"
-#include "os/memhog.hh"
-#include "tlb/walk_source.hh"
 
 namespace mixtlb::bench
 {
 
-RunResult
-runGpu(const GpuRunConfig &config)
+namespace
 {
-    stats::StatGroup root(sim::designName(config.design));
-    mem::PhysMem mem(config.memBytes);
-    os::MemoryManager mm(mem, &root);
-    os::Memhog hog(mm);
-    if (config.memhog > 0)
-        hog.fragment(config.memhog, config.seed);
 
-    os::ProcessParams proc_params;
-    proc_params.policy = os::PagePolicy::Thp;
-    os::Process proc(mm, proc_params, &root);
-    cache::CacheHierarchy caches(scaledCaches(), &root);
-    tlb::NativeWalkSource source(
-        proc.pageTable(), &root,
-        [&](VAddr va, bool store) {
-            return proc.touch(va, store) != os::TouchResult::OutOfMemory;
-        },
-        sim::walkerScanLines(config.design));
-
-    gpu::GpuParams gpu_params;
-    gpu_params.numCores = config.cores;
-    auto l2 = sim::makeGpuL2(config.design, &root, &proc.pageTable());
-    gpu::GpuSystem gpu_system(
-        gpu_params, &root,
-        [&](unsigned core, stats::StatGroup *parent) {
-            return sim::makeGpuCoreL1(config.design, core, parent,
-                                      &proc.pageTable());
-        },
-        l2, source, caches);
-
-    // OS translation changes (migration, demotion, reclaim) must shoot
-    // down every shader core's TLBs, or stale entries survive into the
-    // differential oracle.
-    proc.addInvalidateListener([&](VAddr vbase, PageSize size) {
-        gpu_system.invalidatePage(vbase, size);
-    });
-
-    // Input upload: ascending first-touch through rotating cores.
-    VAddr base = proc.mmap(config.footprintBytes);
-    for (VAddr va = base; va < base + config.footprintBytes;
-         va += PageBytes4K) {
-        gpu_system.core((va >> PageShift4K) % config.cores)
-            .access(va, true);
+/**
+ * Add every process's THP fallbacks and lifecycle counters into
+ * @p result. Called once before startMeasurement() (warmup is where
+ * allocation happens, and the stat reset would discard it) and once
+ * after the run.
+ */
+void
+addProcessStats(sim::MachineCore &machine, RunResult &result)
+{
+    for (unsigned i = 0; i < machine.numProcesses(); i++) {
+        const stats::StatGroup &group = machine.process(i).statGroup();
+        result.thpFallbacks += group.value("thp_fallbacks");
+        result.demotions += group.value("demotions");
+        result.reclaims += group.value("reclaims");
+        result.repromotions += group.value("repromotions");
+        result.oomRetries += group.value("oom_retries");
+        result.demoteRescues += group.value("demote_rescues");
+        result.compactionRescues += group.value("compaction_rescues");
     }
-    double warm_fallbacks =
-        root.scalar("proc.thp_fallbacks").value();
+}
+
+/** Start the measured window, keeping the warmup's process stats. */
+RunResult
+startMeasurement(sim::MachineCore &machine)
+{
     RunResult result;
-    addLifecycleStats(root, "proc", result);
-    root.resetStats();
+    addProcessStats(machine, result);
+    machine.startMeasurement();
+    return result;
+}
 
-    std::vector<std::unique_ptr<workload::TraceGenerator>> gens;
-    for (unsigned core = 0; core < config.cores; core++) {
-        gens.push_back(workload::makeGenerator(config.kernel, base,
-                                               config.footprintBytes,
-                                               config.seed + core));
-    }
-    gpu_system.run(gens, config.refs);
-
-    if (contracts::paranoia() >= 1) {
-        contracts::AuditReport report("gpu");
-        mem.audit(report);
-        proc.audit(report);
-        l2->audit(report);
-        for (unsigned core = 0; core < config.cores; core++)
-            gpu_system.core(core).l1().audit(report);
-        contracts::require(report);
-    }
-
-    result.thpFallbacks =
-        warm_fallbacks + root.scalar("proc.thp_fallbacks").value();
-    addLifecycleStats(root, "proc", result);
-    double translation_cycles = 0, l1_hits = 0, accesses = 0;
-    double walks = 0, walk_accesses = 0, data_cycles = 0;
-    perf::EnergyInputs energy;
-    for (unsigned core = 0; core < config.cores; core++) {
-        auto &hier = gpu_system.core(core);
-        translation_cycles += hier.translationCycleCount();
-        l1_hits += hier.l1HitCount();
+/** The one RunResult summary every machine kind shares. */
+void
+summarize(sim::MachineCore &machine, RunResult &result)
+{
+    addProcessStats(machine, result);
+    result.metrics = machine.metrics();
+    result.energy = machine.energyInputs();
+    double accesses = 0, l1_hits = 0, walks = 0, walk_accesses = 0;
+    for (unsigned i = 0; i < machine.numHierarchies(); i++) {
+        const tlb::TlbHierarchy &hier = machine.hierarchy(i);
         accesses += hier.accessCount();
+        l1_hits += hier.l1HitCount();
         walks += hier.walkCount();
         walk_accesses += hier.walkAccessCount();
-        auto inputs = sim::harvestEnergyInputs(root, hier,
-                                               config.design, 0.0);
-        energy.l1WaysRead += inputs.l1WaysRead;
-        energy.l2WaysRead = inputs.l2WaysRead; // shared L2: same object
-        energy.l1Entries = inputs.l1Entries;
-        energy.l2Entries = inputs.l2Entries;
-        energy.l1Fills += inputs.l1Fills;
-        energy.l2Fills = inputs.l2Fills;
-        energy.walkAccesses += inputs.walkAccesses;
-        energy.walkDramAccesses += inputs.walkDramAccesses;
-        energy.dirtyOps += inputs.dirtyOps;
-        energy.invalidations += inputs.invalidations;
-        energy.predictorLookups += inputs.predictorLookups;
-        energy.skewTimestamps = inputs.skewTimestamps;
-        energy.fillBurstFactor = std::min(energy.fillBurstFactor,
-                                          inputs.fillBurstFactor);
     }
-    result.metrics = perf::computeMetrics(
-        static_cast<std::uint64_t>(accesses), translation_cycles,
-        data_cycles);
-    energy.totalCycles = result.metrics.totalCycles;
-    result.energy = energy;
     result.l1MissRate = 1.0 - l1_hits / accesses;
     result.walksPerKref = 1000.0 * walks / accesses;
     result.accessesPerWalk = walks > 0 ? walk_accesses / walks : 0.0;
-    result.distribution = os::scanDistribution(proc.pageTable());
+    result.distribution = machine.distribution();
+}
+
+} // anonymous namespace
+
+RunResult
+runNative(const NativeRunConfig &config)
+{
+    sim::MachineParams params;
+    params.name = sim::designName(config.design);
+    params.memBytes = config.memBytes;
+    params.design = config.design;
+    params.scale = config.scale;
+    params.proc.policy = config.policy;
+    params.proc.pool2mPages = config.pool2m;
+    params.proc.pool1gPages = config.pool1g;
+    params.memhogFraction = config.memhog;
+    params.seed = config.seed;
+    params.caches = scaledCaches();
+    sim::Machine machine(params);
+
+    VAddr base = machine.mapArena(config.footprintBytes);
+    machine.warmup(base, config.footprintBytes, config.warmStep);
+    RunResult result = startMeasurement(machine);
+    auto gen = workload::makeGenerator(config.workload, base,
+                                       config.footprintBytes,
+                                       config.seed);
+    machine.run(*gen, config.refs);
+    summarize(machine, result);
+    return result;
+}
+
+RunResult
+runVirt(const VirtRunConfig &config)
+{
+    sim::VirtMachineParams params;
+    params.name = sim::designName(config.design);
+    params.hostMemBytes = config.hostMemBytes;
+    params.numVms = config.numVms;
+    params.design = config.design;
+    params.guestProc.policy = os::PagePolicy::Thp;
+    params.guestMemhogFraction = config.guestMemhog;
+    params.seed = config.seed;
+    params.caches = scaledCaches();
+    sim::VirtMachine machine(params);
+
+    std::uint64_t guest_mem = config.hostMemBytes / config.numVms;
+    std::uint64_t footprint =
+        config.footprintBytes
+            ? config.footprintBytes
+            : pressureFootprint(guest_mem, config.guestMemhog);
+    std::vector<VAddr> bases;
+    for (unsigned vm = 0; vm < config.numVms; vm++) {
+        bases.push_back(machine.mapArena(vm, footprint));
+        machine.warmup(vm, bases[vm], footprint);
+    }
+    RunResult result = startMeasurement(machine);
+    for (unsigned vm = 0; vm < config.numVms; vm++) {
+        auto gen = workload::makeGenerator(config.workload, bases[vm],
+                                           footprint,
+                                           config.seed + vm);
+        machine.run(vm, *gen, config.refsPerVm);
+    }
+    summarize(machine, result);
+    return result;
+}
+
+RunResult
+runGpu(const GpuRunConfig &config)
+{
+    sim::GpuMachineParams params;
+    params.name = sim::designName(config.design);
+    params.memBytes = config.memBytes;
+    params.numCores = config.cores;
+    params.design = config.design;
+    params.memhogFraction = config.memhog;
+    params.seed = config.seed;
+    params.caches = scaledCaches();
+    sim::GpuMachine machine(params);
+
+    VAddr base = machine.mapArena(config.footprintBytes);
+    machine.warmup(base, config.footprintBytes);
+    RunResult result = startMeasurement(machine);
+    for (unsigned core = 0; core < config.cores; core++) {
+        machine.attachWorkload(
+            core, workload::makeGenerator(config.kernel, base,
+                                          config.footprintBytes,
+                                          config.seed + core));
+    }
+    machine.run(config.refs);
+    summarize(machine, result);
     return result;
 }
 
@@ -142,7 +173,8 @@ runMulti(const MultiRunConfig &config)
     }
     sim::MultiMachine machine(params);
 
-    // "gups,stream" with 4 processes runs gups, stream, gups, stream.
+    // "gups,streamcluster" with 4 processes runs gups, streamcluster,
+    // gups, streamcluster.
     std::vector<std::string> workloads;
     for (std::size_t pos = 0; pos <= config.mix.size();) {
         std::size_t comma = config.mix.find(',', pos);
@@ -161,17 +193,7 @@ runMulti(const MultiRunConfig &config)
             machine.mapArena(i, config.footprintPerProc));
         machine.warmup(i, bases[i], config.footprintPerProc);
     }
-    double warm_fallbacks = 0;
-    RunResult result;
-    for (unsigned i = 0; i < config.numProcs; i++) {
-        warm_fallbacks += machine.root()
-                              .scalar("proc" + std::to_string(i)
-                                      + ".thp_fallbacks")
-                              .value();
-        addLifecycleStats(machine.root(),
-                          "proc" + std::to_string(i), result);
-    }
-    machine.startMeasurement();
+    RunResult result = startMeasurement(machine);
     for (unsigned i = 0; i < config.numProcs; i++) {
         machine.attachWorkload(
             i, workload::makeGenerator(
@@ -180,28 +202,7 @@ runMulti(const MultiRunConfig &config)
                    sim::sweepPointSeed(config.seed, i)));
     }
     machine.run(config.refsPerProc);
-
-    result.thpFallbacks = warm_fallbacks;
-    for (unsigned i = 0; i < config.numProcs; i++) {
-        result.thpFallbacks +=
-            machine.root()
-                .scalar("proc" + std::to_string(i)
-                        + ".thp_fallbacks")
-                .value();
-        addLifecycleStats(machine.root(),
-                          "proc" + std::to_string(i), result);
-    }
-    result.metrics = machine.metrics();
-    result.energy = machine.energyInputs();
-    auto &hier = machine.tlbs();
-    result.l1MissRate = 1.0 - hier.l1HitCount() / hier.accessCount();
-    result.walksPerKref =
-        1000.0 * hier.walkCount() / hier.accessCount();
-    result.accessesPerWalk =
-        hier.walkCount() > 0
-            ? hier.walkAccessCount() / hier.walkCount()
-            : 0.0;
-    result.distribution = machine.distribution(0);
+    summarize(machine, result);
     for (unsigned i = 0; i < config.numProcs; i++)
         result.procL1MissRates.push_back(machine.procL1MissRate(i));
     result.contextSwitches = machine.contextSwitches();

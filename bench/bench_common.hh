@@ -48,7 +48,7 @@ scaledCaches()
     return params;
 }
 
-/** Everything a figure needs from one native-CPU run. */
+/** Everything a figure needs from one run, of any machine kind. */
 struct RunResult
 {
     perf::RunMetrics metrics{};
@@ -88,24 +88,6 @@ struct RunResult
     double fullFlushes = 0;
 };
 
-/**
- * Accumulate the per-process lifecycle counters of stat group
- * @p prefix into @p result. Called once before startMeasurement() (the
- * reset would discard warmup-phase demotions) and once after the run.
- */
-inline void
-addLifecycleStats(stats::StatGroup &root, const std::string &prefix,
-                  RunResult &result)
-{
-    result.demotions += root.value(prefix + ".demotions");
-    result.reclaims += root.value(prefix + ".reclaims");
-    result.repromotions += root.value(prefix + ".repromotions");
-    result.oomRetries += root.value(prefix + ".oom_retries");
-    result.demoteRescues += root.value(prefix + ".demote_rescues");
-    result.compactionRescues +=
-        root.value(prefix + ".compaction_rescues");
-}
-
 struct NativeRunConfig
 {
     sim::TlbDesign design = sim::TlbDesign::Split;
@@ -124,50 +106,7 @@ struct NativeRunConfig
 };
 
 /** Build, warm (init sweep), measure, and summarise one machine. */
-inline RunResult
-runNative(const NativeRunConfig &config)
-{
-    sim::MachineParams params;
-    params.name = sim::designName(config.design);
-    params.memBytes = config.memBytes;
-    params.design = config.design;
-    params.scale = config.scale;
-    params.proc.policy = config.policy;
-    params.proc.pool2mPages = config.pool2m;
-    params.proc.pool1gPages = config.pool1g;
-    params.memhogFraction = config.memhog;
-    params.seed = config.seed;
-    params.caches = scaledCaches();
-    sim::Machine machine(params);
-
-    VAddr base = machine.mapArena(config.footprintBytes);
-    machine.warmup(base, config.footprintBytes, config.warmStep);
-    double warm_fallbacks =
-        machine.root().scalar("proc.thp_fallbacks").value();
-    RunResult result;
-    addLifecycleStats(machine.root(), "proc", result);
-    machine.startMeasurement();
-    auto gen = workload::makeGenerator(config.workload, base,
-                                       config.footprintBytes,
-                                       config.seed);
-    machine.run(*gen, config.refs);
-
-    addLifecycleStats(machine.root(), "proc", result);
-    result.thpFallbacks =
-        warm_fallbacks
-        + machine.root().scalar("proc.thp_fallbacks").value();
-    result.metrics = machine.metrics();
-    result.energy = machine.energyInputs();
-    auto &hier = machine.tlbs();
-    result.l1MissRate = 1.0 - hier.l1HitCount() / hier.accessCount();
-    result.walksPerKref = 1000.0 * hier.walkCount() / hier.accessCount();
-    result.accessesPerWalk =
-        hier.walkCount() > 0
-            ? hier.walkAccessCount() / hier.walkCount()
-            : 0.0;
-    result.distribution = machine.distribution();
-    return result;
-}
+RunResult runNative(const NativeRunConfig &config);
 
 /**
  * Footprint the paper's memhog experiments would use: the workload
@@ -203,73 +142,7 @@ struct VirtRunConfig
 };
 
 /** One consolidated-VM run; metrics aggregate across vCPUs. */
-inline RunResult
-runVirt(const VirtRunConfig &config)
-{
-    sim::VirtMachineParams params;
-    params.name = sim::designName(config.design);
-    params.hostMemBytes = config.hostMemBytes;
-    params.numVms = config.numVms;
-    params.design = config.design;
-    params.guestProc.policy = os::PagePolicy::Thp;
-    params.guestMemhogFraction = config.guestMemhog;
-    params.seed = config.seed;
-    params.caches = scaledCaches();
-    sim::VirtMachine machine(params);
-
-    std::uint64_t guest_mem = config.hostMemBytes / config.numVms;
-    std::uint64_t footprint =
-        config.footprintBytes
-            ? config.footprintBytes
-            : pressureFootprint(guest_mem, config.guestMemhog);
-    std::vector<VAddr> bases;
-    for (unsigned vm = 0; vm < config.numVms; vm++) {
-        bases.push_back(machine.mapArena(vm, footprint));
-        machine.warmup(vm, bases[vm], footprint);
-    }
-    double warm_fallbacks = 0;
-    RunResult result;
-    for (unsigned vm = 0; vm < config.numVms; vm++) {
-        warm_fallbacks += machine.root()
-                              .scalar("guest" + std::to_string(vm)
-                                      + ".thp_fallbacks")
-                              .value();
-        addLifecycleStats(machine.root(),
-                          "guest" + std::to_string(vm), result);
-    }
-    machine.startMeasurement();
-    for (unsigned vm = 0; vm < config.numVms; vm++) {
-        auto gen = workload::makeGenerator(config.workload, bases[vm],
-                                           footprint,
-                                           config.seed + vm);
-        machine.run(vm, *gen, config.refsPerVm);
-    }
-
-    result.metrics = machine.metrics();
-    result.energy = machine.energyInputs();
-    result.thpFallbacks = warm_fallbacks;
-    double walks = 0, accesses = 0, walk_accesses = 0, l1_hits = 0;
-    for (unsigned vm = 0; vm < config.numVms; vm++) {
-        auto prefix = "tlb" + std::to_string(vm) + ".";
-        walks += machine.root().value(prefix + "walks");
-        accesses += machine.root().value(prefix + "accesses");
-        walk_accesses +=
-            machine.root().value(prefix + "walk_accesses");
-        l1_hits += machine.root().value(prefix + "l1_hits");
-        result.thpFallbacks +=
-            machine.root()
-                .scalar("guest" + std::to_string(vm)
-                        + ".thp_fallbacks")
-                .value();
-        addLifecycleStats(machine.root(),
-                          "guest" + std::to_string(vm), result);
-    }
-    result.l1MissRate = 1.0 - l1_hits / accesses;
-    result.walksPerKref = 1000.0 * walks / accesses;
-    result.accessesPerWalk = walks > 0 ? walk_accesses / walks : 0.0;
-    result.distribution = machine.guestDistribution(0);
-    return result;
-}
+RunResult runVirt(const VirtRunConfig &config);
 
 struct GpuRunConfig
 {
@@ -294,7 +167,7 @@ struct MultiRunConfig
     /** Translated references per scheduling slice. */
     std::uint64_t quantum = 1024;
     /** Comma-separated workload names, cycled across processes. */
-    std::string mix = "gups,stream";
+    std::string mix = "gups,streamcluster";
     os::PagePolicy procPolicy = os::PagePolicy::Thp;
     std::uint64_t memBytes = 8 * GiB;
     std::uint64_t footprintPerProc = 256 * MiB;

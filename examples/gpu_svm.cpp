@@ -11,12 +11,8 @@
 
 #include <cstdio>
 
-#include "gpu/gpu_system.hh"
-#include "os/memhog.hh"
 #include "sim/cli.hh"
-#include "sim/configs.hh"
 #include "sim/machine.hh"
-#include "tlb/walk_source.hh"
 
 using namespace mixtlb;
 using namespace mixtlb::sim;
@@ -43,52 +39,33 @@ main(int argc, char **argv)
     double split_cycles = 0;
 
     for (TlbDesign design : {TlbDesign::Split, TlbDesign::Mix}) {
-        stats::StatGroup root(designName(design));
-        mem::PhysMem mem(2ULL << 30);
-        os::MemoryManager mm(mem, &root);
-        os::Memhog hog(mm);
-        if (memhog_frac > 0)
-            hog.fragment(memhog_frac, 5);
-
-        os::ProcessParams proc_params;
-        proc_params.policy = os::PagePolicy::Thp;
-        os::Process proc(mm, proc_params, &root);
-        cache::CacheHierarchy caches(cache::HierarchyParams{}, &root);
-        tlb::NativeWalkSource source(
-            proc.pageTable(), &root, [&](VAddr va, bool st) {
-                return proc.touch(va, st)
-                       != os::TouchResult::OutOfMemory;
-            });
-
-        gpu::GpuParams gpu_params;
-        gpu_params.numCores = cores;
-        auto l2 = makeGpuL2(design, &root, &proc.pageTable());
-        gpu::GpuSystem gpu_system(
-            gpu_params, &root,
-            [&](unsigned core, stats::StatGroup *parent) {
-                return makeGpuCoreL1(design, core, parent,
-                                     &proc.pageTable());
-            },
-            l2, source, caches);
+        GpuMachineParams params;
+        params.name = designName(design);
+        params.memBytes = 2ULL << 30;
+        params.numCores = cores;
+        params.design = design;
+        params.memhogFraction = memhog_frac;
+        params.seed = 5;
+        GpuMachine gpu(params);
 
         // Input upload: ascending first-touch through rotating cores.
-        VAddr base = proc.mmap(footprint);
-        for (VAddr va = base; va < base + footprint; va += PageBytes4K)
-            gpu_system.core((va >> PageShift4K) % cores).access(va, true);
-        root.resetStats();
+        VAddr base = gpu.mapArena(footprint);
+        gpu.warmup(base, footprint);
+        gpu.startMeasurement();
 
-        std::vector<std::unique_ptr<workload::TraceGenerator>> gens;
         for (unsigned core = 0; core < cores; core++) {
-            gens.push_back(workload::makeGenerator(
-                kernel, base, footprint, 500 + core));
+            gpu.attachWorkload(core, workload::makeGenerator(
+                                         kernel, base, footprint,
+                                         500 + core));
         }
-        Cycles cycles = gpu_system.run(gens, refs);
+        gpu.run(refs);
+        const double cycles = gpu.metrics().translationCycles;
 
         double l1_hits = 0, l2_hits = 0, accesses = 0;
         for (unsigned core = 0; core < cores; core++) {
-            l1_hits += gpu_system.core(core).l1HitCount();
-            l2_hits += gpu_system.core(core).l2HitCount();
-            accesses += gpu_system.core(core).accessCount();
+            l1_hits += gpu.core(core).l1HitCount();
+            l2_hits += gpu.core(core).l2HitCount();
+            accesses += gpu.core(core).accessCount();
         }
         double l1_miss = 100.0 * (1.0 - l1_hits / accesses);
         double l2_miss_pct =
@@ -96,14 +73,12 @@ main(int argc, char **argv)
 
         double improvement = 0;
         if (design == TlbDesign::Split)
-            split_cycles = static_cast<double>(cycles);
+            split_cycles = cycles;
         else
-            improvement =
-                100.0 * (split_cycles / static_cast<double>(cycles)
-                         - 1.0);
+            improvement = 100.0 * (split_cycles / cycles - 1.0);
         table.addRow({designName(design), Table::fmt(l1_miss),
                       Table::fmt(l2_miss_pct),
-                      Table::fmt(static_cast<double>(cycles) / refs),
+                      Table::fmt(cycles / static_cast<double>(refs)),
                       Table::fmt(improvement)});
     }
     table.print();

@@ -60,16 +60,10 @@ main(int argc, char **argv)
         }
 
         auto metrics = machine.metrics();
-        // Aggregate hierarchy counters across vCPUs.
-        for (unsigned vm = 0; vm < vms; vm++) {
-            const auto &scalars = machine.root();
-            walks += scalars.value("tlb" + std::to_string(vm)
-                                  + ".walks");
-            walk_accesses +=
-                scalars.value("tlb" + std::to_string(vm)
-                             + ".walk_accesses");
-            accesses += scalars.value("tlb" + std::to_string(vm)
-                                     + ".accesses");
+        for (unsigned vm = 0; vm < vms; vm++) { // one hierarchy per vCPU
+            walks += machine.hierarchy(vm).walkCount();
+            walk_accesses += machine.hierarchy(vm).walkAccessCount();
+            accesses += machine.hierarchy(vm).accessCount();
         }
 
         double improvement = 0;

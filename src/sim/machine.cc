@@ -5,138 +5,25 @@
 #include "common/contracts.hh"
 #include "common/fault.hh"
 #include "common/logging.hh"
-#include "common/simd.hh"
+#include "virt/nested_walk.hh"
 
 namespace mixtlb::sim
 {
 
-/** Mid-run audit cadence at paranoia >= 3 (must be a power of two). */
-constexpr std::uint64_t AuditPeriod = 1ULL << 16;
-
-/**
- * Cadence for the cooperative checks inside the reference loops: the
- * per-point deadline poll and the pressure-burst fault draw (must be a
- * power of two).
- */
-constexpr std::uint64_t CheckPeriod = 1ULL << 10;
-
-/**
- * Frames reclaimed alongside each injected demote storm: enough to
- * punch refault-able holes into the demoted region without stalling
- * the run on refault service.
- */
-constexpr std::uint64_t StormReclaimFrames = 64;
-
 Machine::Machine(const MachineParams &params)
-    : params_(params), root_(params.name), mem_(params.memBytes),
-      mm_(mem_, &root_,
-          [&params] {
-              os::CompactionParams compaction;
-              compaction.seed = params.seed * 0x9e3779b9ULL + 17;
-              return compaction;
-          }()),
-      memhog_(mm_, params.memhogUnmovableShare),
-      caches_(params.caches, &root_)
+    : MachineCore(params.name, params.memBytes,
+                  seededCompaction(params.seed), params.caches,
+                  params.design, true, true)
 {
-    if (params.memhogFraction > 0.0)
-        memhog_.fragment(params.memhogFraction, params.seed);
-
-    proc_ = std::make_unique<os::Process>(mm_, params.proc, &root_);
-
-    source_ = std::make_unique<tlb::NativeWalkSource>(
-        proc_->pageTable(), &root_,
-        [this](VAddr va, bool store) {
-            return proc_->touch(va, store)
-                   != os::TouchResult::OutOfMemory;
-        },
-        walkerScanLines(params.design),
-        pt::PwcParams{params.pwcEntries});
-
-    const pt::PageTable *table = &proc_->pageTable();
-    hier_ = std::make_unique<tlb::TlbHierarchy>(
+    os::Memhog &hog = addMemhog(mm_, params.memhogFraction, params.seed);
+    os::Process &proc = addProcess(mm_, params.proc);
+    tlb::WalkSource &source = addNativeSource(proc, params.pwcEntries);
+    const pt::PageTable *table = &proc.pageTable();
+    tlb::TlbHierarchy &hier = addHierarchy(
         "tlb", &root_,
         makeCpuL1(params.design, &root_, table, params.scale),
-        makeCpuL2(params.design, &root_, table, params.scale),
-        *source_, caches_, params.tlbLatency);
-
-    proc_->addInvalidateListener([this](VAddr vbase, PageSize size) {
-        hier_->invalidatePage(vbase, size);
-    });
-}
-
-VAddr
-Machine::mapArena(std::uint64_t bytes)
-{
-    return proc_->mmap(bytes);
-}
-
-std::uint64_t
-Machine::run(workload::TraceGenerator &gen, std::uint64_t refs)
-{
-    // References are generated and replayed one CheckPeriod-aligned
-    // batch at a time: the deadline poll and the pressure-burst fault
-    // draw run between batches, at exactly the same points in the
-    // reference stream as the old per-reference loop — so fault
-    // schedules and every modeled statistic stay bit-identical.
-    MemRef batch[CheckPeriod];
-    const bool data_through_caches = params_.dataRefsThroughCaches;
-    std::uint64_t done = 0;
-    bool oom = false;
-    while (done < refs && !oom) {
-        const auto chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(
-                CheckPeriod - (done & (CheckPeriod - 1)), refs - done));
-        simd::prefetchWrite(batch);     // next trace chunk
-        simd::prefetchWrite(batch + 4);
-        gen.nextBatch(batch, chunk);
-        auto br = hier_->translateBatch({batch, chunk},
-                                        data_through_caches);
-        if (!br.ok) {
-            warn("machine %s out of memory after %llu refs",
-                 params_.name.c_str(),
-                 (unsigned long long)(done + br.done));
-            oom = true;
-        }
-        done += br.done;
-        dataCycles_ += br.dataCycles;
-        if (oom)
-            break;
-        if ((done & (CheckPeriod - 1)) == 0) {
-            if (fault::deadlineExpired()) {
-                memhog_.burstRelease();
-                MIX_RAISE("deadline",
-                          "machine %s exceeded per-point deadline "
-                          "after %llu refs",
-                          params_.name.c_str(),
-                          (unsigned long long)done);
-            }
-            // Pressure bursts are transient: the previous burst (if
-            // any) ends at this boundary, and a new one may begin.
-            memhog_.burstRelease();
-            if (fault::fire(fault::Site::PressureBurst))
-                memhog_.burstAcquire(mem_.buddy().freeFrames() / 2);
-            // Injected demotion storms model the OS under memory
-            // duress: demote a superpage, then reclaim frames (which
-            // drops cold pages from the demoted region). The later
-            // refaults scatter the region's frames, so maintain()'s
-            // re-promotion must take the khugepaged-style collapse
-            // path — the hard shootdown cases, end to end.
-            if (fault::fire(fault::Site::DemoteStorm)) {
-                proc_->demoteStorm(1);
-                mm_.reclaim(StormReclaimFrames);
-            }
-            proc_->maintain();
-        }
-        if (contracts::paranoia() >= 3 &&
-            (done & (AuditPeriod - 1)) == 0) {
-            auditAll();
-        }
-    }
-    memhog_.burstRelease();
-    refs_ += done;
-    if (contracts::paranoia() >= 1)
-        auditAll();
-    return done;
+        makeCpuL2(params.design, &root_, table, params.scale), source);
+    addLane(hier, proc, hog);
 }
 
 void
@@ -145,11 +32,11 @@ Machine::touchSequential(VAddr base, std::uint64_t bytes,
 {
     std::uint64_t steps = 0;
     for (std::uint64_t off = 0; off < bytes; off += step, steps++) {
-        if (proc_->touch(base + off) == os::TouchResult::OutOfMemory) {
+        if (process().touch(base + off) == os::TouchResult::OutOfMemory) {
             MIX_RAISE("oom",
                       "machine %s: touchSequential ran out of memory "
                       "at offset %llu of %llu bytes",
-                      params_.name.c_str(), (unsigned long long)off,
+                      root_.name().c_str(), (unsigned long long)off,
                       (unsigned long long)bytes);
         }
         if ((steps & (CheckPeriod - 1)) == CheckPeriod - 1 &&
@@ -157,121 +44,14 @@ Machine::touchSequential(VAddr base, std::uint64_t bytes,
             MIX_RAISE("deadline",
                       "machine %s exceeded per-point deadline during "
                       "touchSequential",
-                      params_.name.c_str());
+                      root_.name().c_str());
         }
     }
-}
-
-void
-Machine::warmup(VAddr base, std::uint64_t bytes, std::uint64_t step)
-{
-    std::uint64_t steps = 0;
-    for (std::uint64_t off = 0; off < bytes; off += step, steps++) {
-        auto result = hier_->access(base + off, true);
-        if (!result.ok) {
-            MIX_RAISE("oom",
-                      "machine %s: warmup ran out of memory at offset "
-                      "%llu of %llu bytes",
-                      params_.name.c_str(), (unsigned long long)off,
-                      (unsigned long long)bytes);
-        }
-        if ((steps & (CheckPeriod - 1)) == CheckPeriod - 1 &&
-            fault::deadlineExpired()) {
-            MIX_RAISE("deadline",
-                      "machine %s exceeded per-point deadline during "
-                      "warmup",
-                      params_.name.c_str());
-        }
-    }
-    if (contracts::paranoia() >= 1)
-        auditAll();
-}
-
-void
-Machine::auditAll() const
-{
-    contracts::AuditReport report(params_.name);
-    mem_.audit(report);
-    proc_->audit(report); // covers the page table's radix invariants
-    hier_->l1().audit(report);
-    hier_->l2().audit(report);
-    contracts::require(report);
-}
-
-void
-Machine::startMeasurement()
-{
-    root_.resetStats();
-    refs_ = 0;
-    dataCycles_ = 0;
-}
-
-perf::RunMetrics
-Machine::metrics(const perf::PerfParams &params) const
-{
-    return perf::computeMetrics(refs_, hier_->translationCycleCount(),
-                                static_cast<double>(dataCycles_),
-                                params);
-}
-
-perf::EnergyInputs
-Machine::energyInputs() const
-{
-    auto metrics_now = metrics();
-    return harvestEnergyInputs(root_, *hier_, params_.design,
-                               metrics_now.totalCycles);
-}
-
-os::PageSizeDistribution
-Machine::distribution() const
-{
-    return os::scanDistribution(proc_->pageTable());
-}
-
-std::vector<std::uint64_t>
-Machine::contiguityRuns(PageSize size) const
-{
-    return os::contiguityRuns(proc_->pageTable(), size);
-}
-
-perf::EnergyInputs
-harvestEnergyInputs(const stats::StatGroup &root,
-                    const tlb::TlbHierarchy &hier, TlbDesign design,
-                    double total_cycles)
-{
-    (void)root;
-    perf::EnergyInputs inputs;
-    const auto &l1 = hier.l1();
-    const auto &l2 = hier.l2();
-    inputs.l1WaysRead = l1.waysReadCount();
-    inputs.l2WaysRead = l2.waysReadCount();
-    inputs.l1Entries = l1.numEntries();
-    inputs.l2Entries = l2.numEntries();
-    inputs.l1Fills = l1.fillCount();
-    inputs.l2Fills = l2.fillCount();
-    inputs.walkAccesses = hier.walkAccessCount();
-    inputs.walkDramAccesses = hier.walkDramAccessCount();
-    inputs.dirtyOps = hier.dirtyMicroOpCount();
-    inputs.invalidations =
-        l1.invalidationCount() + l2.invalidationCount();
-    const bool mirroring = design == TlbDesign::Mix ||
-                           design == TlbDesign::MixColt ||
-                           design == TlbDesign::MixSuperIndex;
-    inputs.fillBurstFactor = mirroring ? 0.25 : 1.0;
-    const bool predictor = design == TlbDesign::HashRehashPred ||
-                           design == TlbDesign::SkewPred;
-    inputs.predictorLookups =
-        predictor ? l1.hits() + l1.misses() + l2.hits() + l2.misses()
-                  : 0.0;
-    inputs.skewTimestamps = design == TlbDesign::Skew ||
-                            design == TlbDesign::SkewPred;
-    inputs.totalCycles = total_cycles;
-    return inputs;
 }
 
 VirtMachine::VirtMachine(const VirtMachineParams &params)
-    : params_(params), root_(params.name), hostMem_(params.hostMemBytes),
-      hostMm_(hostMem_, &root_), caches_(params.caches, &root_)
+    : MachineCore(params.name, params.hostMemBytes, {}, params.caches,
+                  params.design, true, false)
 {
     fatal_if(params.numVms == 0, "virtual machine count is zero");
     std::uint64_t vm_bytes = params.vmMemBytes
@@ -283,159 +63,40 @@ VirtMachine::VirtMachine(const VirtMachineParams &params)
         vm_params.name = "vm" + std::to_string(i);
         vm_params.guestMemBytes = vm_bytes;
         vm_params.hostPolicy = params.hostPolicy;
-        vms_.push_back(std::make_unique<virt::Vm>(hostMm_, vm_params,
-                                                  &root_));
+        vms_.push_back(std::make_unique<virt::Vm>(mm_, vm_params, &root_));
+        virt::Vm &vm = *vms_[i];
 
-        if (params.guestMemhogFraction > 0.0) {
-            auto hog = std::make_unique<os::Memhog>(vms_[i]->guestMm());
-            hog->fragment(params.guestMemhogFraction,
-                          params.seed + 100 + i);
-            guestMemhogs_.push_back(std::move(hog));
-        }
-
+        os::Memhog &hog = addMemhog(vm.guestMm(), params.guestMemhogFraction,
+                                    params.seed + 100 + i);
         os::ProcessParams proc_params = params.guestProc;
         proc_params.name = "guest" + std::to_string(i);
-        guestProcs_.push_back(std::make_unique<os::Process>(
-            vms_[i]->guestMm(), proc_params, &root_));
+        os::Process &proc = addProcess(vm.guestMm(), proc_params);
+        auto &source = addSource(std::make_unique<virt::NestedWalkSource>(
+            vm, proc, &vm.statGroup(), walkerScanLines(params.design)));
 
-        sources_.push_back(std::make_unique<virt::NestedWalkSource>(
-            *vms_[i], *guestProcs_[i], &vms_[i]->statGroup(),
-            walkerScanLines(params.design)));
-
-        const pt::PageTable *table = &guestProcs_[i]->pageTable();
-        hiers_.push_back(std::make_unique<tlb::TlbHierarchy>(
+        const pt::PageTable *table = &proc.pageTable();
+        tlb::TlbHierarchy &hier = addHierarchy(
             "tlb" + std::to_string(i), &root_,
-            makeCpuL1(params.design, &vms_[i]->statGroup(), table,
-                      params.scale),
-            makeCpuL2(params.design, &vms_[i]->statGroup(), table,
-                      params.scale),
-            *sources_[i], caches_, params.tlbLatency));
-
-        guestProcs_[i]->addInvalidateListener(
-            [this, i](VAddr vbase, PageSize size) {
-                hiers_[i]->invalidatePage(vbase, size);
-            });
+            makeCpuL1(params.design, &vm.statGroup(), table, params.scale),
+            makeCpuL2(params.design, &vm.statGroup(), table, params.scale),
+            source);
+        addLane(hier, proc, hog);
     }
 }
 
 VirtMachine::~VirtMachine()
 {
-    // Guest processes reference their VM's memory manager; destroy the
-    // dependents before the VMs (vector order would do the reverse).
-    hiers_.clear();
-    sources_.clear();
-    guestProcs_.clear();
-    guestMemhogs_.clear();
-    vms_.clear();
-}
-
-VAddr
-VirtMachine::mapArena(unsigned vm, std::uint64_t bytes)
-{
-    return guestProcs_.at(vm)->mmap(bytes);
-}
-
-std::uint64_t
-VirtMachine::run(unsigned vm, workload::TraceGenerator &gen,
-                 std::uint64_t refs)
-{
-    auto &hier = *hiers_.at(vm);
-    // Batched like Machine::run: polls land at the same reference-
-    // stream positions as the old per-reference loop.
-    MemRef batch[CheckPeriod];
-    const bool data_through_caches = params_.dataRefsThroughCaches;
-    std::uint64_t done = 0;
-    bool oom = false;
-    while (done < refs && !oom) {
-        const auto chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(
-                CheckPeriod - (done & (CheckPeriod - 1)), refs - done));
-        simd::prefetchWrite(batch);     // next trace chunk
-        simd::prefetchWrite(batch + 4);
-        gen.nextBatch(batch, chunk);
-        auto br = hier.translateBatch({batch, chunk},
-                                      data_through_caches);
-        if (!br.ok) {
-            warn("vm %u out of memory after %llu refs", vm,
-                 (unsigned long long)(done + br.done));
-            oom = true;
-        }
-        done += br.done;
-        dataCycles_ += br.dataCycles;
-        if (oom)
-            break;
-        if ((done & (CheckPeriod - 1)) == 0 &&
-            fault::deadlineExpired()) {
-            MIX_RAISE("deadline",
-                      "vm %u exceeded per-point deadline after %llu "
-                      "refs",
-                      vm, (unsigned long long)done);
-        }
-        if (contracts::paranoia() >= 3 &&
-            (done & (AuditPeriod - 1)) == 0) {
-            auditAll();
-        }
-    }
-    refs_ += done;
-    if (contracts::paranoia() >= 1)
-        auditAll();
-    return done;
+    // Guest processes and memhogs use their VM's memory manager, and
+    // the vCPU TLBs' statistics live in its stat group: destroy the
+    // dependents before the VMs.
+    teardown();
 }
 
 void
-VirtMachine::warmup(unsigned vm, VAddr base, std::uint64_t bytes)
+VirtMachine::auditOs(contracts::AuditReport &report) const
 {
-    auto &hier = *hiers_.at(vm);
-    std::uint64_t steps = 0;
-    for (std::uint64_t off = 0; off < bytes;
-         off += PageBytes4K, steps++) {
-        auto result = hier.access(base + off, true);
-        if (!result.ok) {
-            MIX_RAISE("oom",
-                      "vm %u warmup ran out of memory at offset %llu "
-                      "of %llu bytes",
-                      vm, (unsigned long long)off,
-                      (unsigned long long)bytes);
-        }
-        if ((steps & (CheckPeriod - 1)) == CheckPeriod - 1 &&
-            fault::deadlineExpired()) {
-            MIX_RAISE("deadline",
-                      "vm %u exceeded per-point deadline during warmup",
-                      vm);
-        }
-    }
-    if (contracts::paranoia() >= 1)
-        auditAll();
-}
-
-void
-VirtMachine::auditAll() const
-{
-    contracts::AuditReport report(params_.name);
-    hostMem_.audit(report);
     for (const auto &vm : vms_)
         vm->audit(report);
-    for (const auto &proc : guestProcs_)
-        proc->audit(report);
-    for (const auto &hier : hiers_) {
-        hier->l1().audit(report);
-        hier->l2().audit(report);
-    }
-    contracts::require(report);
-}
-
-void
-VirtMachine::startMeasurement()
-{
-    root_.resetStats();
-    refs_ = 0;
-    dataCycles_ = 0;
-}
-
-os::PageSizeDistribution
-VirtMachine::guestDistribution(unsigned vm) const
-{
-    return os::scanDistribution(guestProcs_.at(vm)->pageTable());
 }
 
 std::vector<std::uint64_t>
@@ -451,7 +112,7 @@ VirtMachine::nestedContiguityRuns(unsigned vm, PageSize size) const
     PAddr prev_spa = 0;
     std::uint64_t run = 0;
 
-    guestProcs_.at(vm)->pageTable().forEachLeaf(
+    process(vm).pageTable().forEachLeaf(
         [&](const pt::Translation &t) {
             if (t.size != size)
                 return;
@@ -488,46 +149,78 @@ VirtMachine::nestedContiguityRuns(unsigned vm, PageSize size) const
     return runs;
 }
 
-perf::RunMetrics
-VirtMachine::metrics(const perf::PerfParams &params) const
+/**
+ * The GPU schedule: one warp per core per turn, cores in round-robin
+ * order, until the run's total is issued. A short turn (OOM) ends the
+ * run.
+ */
+class GpuMachine::WarpInterleave final : public Schedule
 {
-    double cycles = 0;
-    for (const auto &hier : hiers_)
-        cycles += hier->translationCycleCount();
-    return perf::computeMetrics(refs_, cycles,
-                                static_cast<double>(dataCycles_),
-                                params);
+  public:
+    WarpInterleave(GpuMachine &machine, std::uint64_t total_refs)
+        : machine_(machine), total_(total_refs)
+    {}
+
+    bool
+    next(Turn &turn) override
+    {
+        if (stopped_ || issued_ >= total_)
+            return false;
+        turn = {core_, machine_.gens_[core_].get(),
+                std::min(WarpRefs, total_ - issued_)};
+        core_ = (core_ + 1) % machine_.numCores();
+        return true;
+    }
+
+    void
+    finish(const Turn &turn, std::uint64_t done) override
+    {
+        issued_ += done;
+        stopped_ = done < turn.refs;
+    }
+
+  private:
+    GpuMachine &machine_;
+    std::uint64_t total_;
+    std::uint64_t issued_ = 0;
+    unsigned core_ = 0;
+    bool stopped_ = false;
+};
+
+GpuMachine::GpuMachine(const GpuMachineParams &params)
+    : MachineCore(params.name, params.memBytes, {}, params.caches,
+                  params.design, false, false)
+{
+    fatal_if(params.numCores == 0, "GPU with zero shader cores");
+    os::Memhog &hog = addMemhog(mm_, params.memhogFraction, params.seed);
+    os::Process &proc = addProcess(mm_, os::ProcessParams{});
+    tlb::WalkSource &source = addNativeSource(proc);
+    const pt::PageTable *table = &proc.pageTable();
+    auto l2 = makeGpuL2(params.design, &root_, table);
+    for (unsigned core = 0; core < params.numCores; core++) {
+        tlb::TlbHierarchy &hier = addHierarchy(
+            "core" + std::to_string(core), &root_,
+            makeGpuCoreL1(params.design, core, &root_, table), l2, source);
+        addLane(hier, proc, hog);
+    }
 }
 
-perf::EnergyInputs
-VirtMachine::energyInputs() const
+std::uint64_t
+GpuMachine::run(std::uint64_t total_refs)
 {
-    perf::EnergyInputs total;
-    auto metrics_now = metrics();
-    for (const auto &hier : hiers_) {
-        auto inputs = harvestEnergyInputs(root_, *hier, params_.design,
-                                          0.0);
-        total.l1WaysRead += inputs.l1WaysRead;
-        total.l2WaysRead += inputs.l2WaysRead;
-        total.l1Entries = inputs.l1Entries;
-        total.l2Entries = inputs.l2Entries;
-        total.l1Fills += inputs.l1Fills;
-        total.l2Fills += inputs.l2Fills;
-        total.walkAccesses += inputs.walkAccesses;
-        total.walkDramAccesses += inputs.walkDramAccesses;
-        total.dirtyOps += inputs.dirtyOps;
-        total.invalidations += inputs.invalidations;
-        total.predictorLookups += inputs.predictorLookups;
-        total.skewTimestamps = inputs.skewTimestamps;
-        // The mirror fill-burst discount is a property of the design,
-        // not an additive count; take the min so the MIX discount
-        // survives aggregation (dropping it charged virtualized MIX
-        // runs full fill energy, 1.0 instead of 0.25).
-        total.fillBurstFactor = std::min(total.fillBurstFactor,
-                                         inputs.fillBurstFactor);
+    for (unsigned core = 0; core < numCores(); core++) {
+        fatal_if(!gens_[core], "GPU core %u has no workload attached",
+                 core);
     }
-    total.totalCycles = metrics_now.totalCycles;
-    return total;
+    WarpInterleave schedule(*this, total_refs);
+    return drive(schedule);
+}
+
+void
+GpuMachine::invalidatePage(VAddr vbase, PageSize size)
+{
+    for (unsigned core = 0; core < numCores(); core++)
+        hierarchy(core).invalidatePage(vbase, size);
 }
 
 } // namespace mixtlb::sim

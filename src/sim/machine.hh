@@ -1,10 +1,15 @@
 /**
  * @file
  * Fully wired simulated machines: physical memory, OS, page tables,
- * caches, walker, and a TLB hierarchy of a chosen design. `Machine` is
- * the native-CPU system of Sec. 6.2; `VirtMachine` hosts consolidated
- * VMs with nested translation (Sec. 6.1's KVM setup). These are the
- * objects the examples and benches drive.
+ * caches, walker, and TLB hierarchies of a chosen design: the paper's
+ * three systems. `Machine` is the native CPU of Sec. 6.2;
+ * `VirtMachine` hosts consolidated VMs with nested translation (Sec.
+ * 6.1's KVM setup); `GpuMachine` is the CPU-GPU shared-virtual-memory
+ * system of Sec. 6.3, N shader cores with private L1 TLBs over a
+ * shared L2 TLB and walker, whose interleaved warps produce the
+ * bursty, high-MLP TLB traffic that makes GPU TLBs
+ * performance-critical (Sec. 2). All are configurations of the shared
+ * MachineCore; the examples and benches drive them.
  */
 
 #ifndef MIXTLB_SIM_MACHINE_HH
@@ -14,19 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "cache/cache.hh"
-#include "os/memhog.hh"
-#include "os/memory_manager.hh"
-#include "os/process.hh"
-#include "os/scan.hh"
-#include "perf/energy_model.hh"
-#include "perf/perf_model.hh"
-#include "sim/configs.hh"
-#include "tlb/hierarchy.hh"
-#include "tlb/walk_source.hh"
-#include "virt/nested_walk.hh"
+#include "sim/machine_core.hh"
 #include "virt/vm.hh"
-#include "workload/generator.hh"
 
 namespace mixtlb::sim
 {
@@ -40,82 +34,51 @@ struct MachineParams
     ConfigScale scale{};
     /** Fraction of memory memhog pins before the workload starts. */
     double memhogFraction = 0.0;
-    double memhogUnmovableShare = 0.2;
     std::uint64_t seed = 1;
-    /** Also push data references through the cache hierarchy. */
-    bool dataRefsThroughCaches = true;
     /** Paging-structure (MMU) cache entries; 0 = disabled (paper). */
     unsigned pwcEntries = 0;
     cache::HierarchyParams caches{};
-    tlb::TlbHierarchyParams tlbLatency{};
 };
 
-/** A native (non-virtualized) CPU system. */
-class Machine
+/** A native (non-virtualized) CPU system: one process, one hierarchy. */
+class Machine : public MachineCore
 {
   public:
     explicit Machine(const MachineParams &params);
-
-    /** Reserve a virtual arena for the workload. */
-    VAddr mapArena(std::uint64_t bytes);
 
     /**
      * Replay @p refs references from @p gen through the MMU.
      * @return references completed (short only on OOM).
      */
-    std::uint64_t run(workload::TraceGenerator &gen, std::uint64_t refs);
+    std::uint64_t
+    run(workload::TraceGenerator &gen, std::uint64_t refs)
+    {
+        OneStream stream(0, gen, refs);
+        return drive(stream);
+    }
 
     /** Demand-fault [base, base+bytes) in ascending order. */
     void touchSequential(VAddr base, std::uint64_t bytes,
                          std::uint64_t step = PageBytes4K);
 
     /**
-     * The initialization phase of a real program: sweep the arena in
-     * ascending order *through the MMU*, one access per 4KB page. This
-     * both hands adjacent virtual pages adjacent physical frames
-     * (Sec. 7.1) and lets coalescing TLBs accumulate their bundles the
-     * way they would under a real first-touch sweep.
+     * First-touch sweep through the MMU (see warmupLanes): hands
+     * adjacent virtual pages adjacent physical frames (Sec. 7.1) and
+     * lets coalescing TLBs accumulate their bundles.
      */
-    void warmup(VAddr base, std::uint64_t bytes,
-                std::uint64_t step = PageBytes4K);
+    void
+    warmup(VAddr base, std::uint64_t bytes, std::uint64_t step = PageBytes4K)
+    {
+        warmupLanes(0, 1, base, bytes, step);
+    }
 
-    /** Zero all statistics; metrics cover only what follows. */
-    void startMeasurement();
+    std::vector<std::uint64_t>
+    contiguityRuns(PageSize size) const
+    {
+        return os::contiguityRuns(process().pageTable(), size);
+    }
 
-    /**
-     * Run every structural auditor (physical memory, OS process, page
-     * table, both TLB levels) and exit fatally on any violation. Runs
-     * automatically at phase boundaries when paranoia >= 1 and
-     * periodically mid-run at paranoia >= 3.
-     */
-    void auditAll() const;
-
-    perf::RunMetrics metrics(const perf::PerfParams &params = {}) const;
-    perf::EnergyInputs energyInputs() const;
-
-    os::PageSizeDistribution distribution() const;
-    std::vector<std::uint64_t> contiguityRuns(PageSize size) const;
-
-    os::Process &process() { return *proc_; }
-    os::MemoryManager &memoryManager() { return mm_; }
-    os::Memhog &memhog() { return memhog_; }
-    tlb::TlbHierarchy &tlbs() { return *hier_; }
-    stats::StatGroup &root() { return root_; }
-    TlbDesign design() const { return params_.design; }
-
-  private:
-    MachineParams params_;
-    stats::StatGroup root_;
-    mem::PhysMem mem_;
-    os::MemoryManager mm_;
-    os::Memhog memhog_;
-    std::unique_ptr<os::Process> proc_;
-    cache::CacheHierarchy caches_;
-    std::unique_ptr<tlb::NativeWalkSource> source_;
-    std::unique_ptr<tlb::TlbHierarchy> hier_;
-    std::uint64_t refs_ = 0;
-    /** Hot counter: integral cycles, converted to double at report. */
-    std::uint64_t dataCycles_ = 0;
+    tlb::TlbHierarchy &tlbs() { return hierarchy(0); }
 };
 
 struct VirtMachineParams
@@ -131,13 +94,11 @@ struct VirtMachineParams
     /** memhog running inside each VM (the paper's "N VM : M mh"). */
     double guestMemhogFraction = 0.0;
     std::uint64_t seed = 1;
-    bool dataRefsThroughCaches = true;
     cache::HierarchyParams caches{};
-    tlb::TlbHierarchyParams tlbLatency{};
 };
 
 /** A host running consolidated VMs, one vCPU (TLB hierarchy) each. */
-class VirtMachine
+class VirtMachine : public MachineCore
 {
   public:
     explicit VirtMachine(const VirtMachineParams &params);
@@ -145,21 +106,26 @@ class VirtMachine
 
     unsigned numVms() const { return static_cast<unsigned>(vms_.size()); }
 
-    VAddr mapArena(unsigned vm, std::uint64_t bytes);
-    std::uint64_t run(unsigned vm, workload::TraceGenerator &gen,
-                      std::uint64_t refs);
+    std::uint64_t
+    run(unsigned vm, workload::TraceGenerator &gen, std::uint64_t refs)
+    {
+        OneStream stream(vm, gen, refs);
+        return drive(stream);
+    }
 
     /** Ascending first-touch sweep through VM @p vm's MMU. */
-    void warmup(unsigned vm, VAddr base, std::uint64_t bytes);
-
-    /** Zero all statistics; metrics cover only what follows. */
-    void startMeasurement();
-
-    /** Audit host memory, every VM (EPT + guest), and every vCPU TLB. */
-    void auditAll() const;
+    void
+    warmup(unsigned vm, VAddr base, std::uint64_t bytes)
+    {
+        warmupLanes(vm, 1, base, bytes, PageBytes4K);
+    }
 
     /** Guest-visible page-size distribution of one VM's process. */
-    os::PageSizeDistribution guestDistribution(unsigned vm) const;
+    os::PageSizeDistribution
+    guestDistribution(unsigned vm) const
+    {
+        return distribution(vm);
+    }
 
     /**
      * End-to-end (gVA and sPA both contiguous) superpage runs — what
@@ -168,35 +134,68 @@ class VirtMachine
     std::vector<std::uint64_t> nestedContiguityRuns(unsigned vm,
                                                     PageSize size) const;
 
-    /** Aggregate metrics over all vCPUs. */
-    perf::RunMetrics metrics(const perf::PerfParams &params = {}) const;
-    perf::EnergyInputs energyInputs() const;
+    os::Process &guestProcess(unsigned vm) { return process(vm); }
 
-    os::Process &guestProcess(unsigned vm) { return *guestProcs_[vm]; }
-    virt::Vm &vm(unsigned idx) { return *vms_[idx]; }
-    stats::StatGroup &root() { return root_; }
+  protected:
+    /** Host memory is the core's; each VM audits guest memory + EPT. */
+    void auditOs(contracts::AuditReport &report) const override;
 
   private:
-    VirtMachineParams params_;
-    stats::StatGroup root_;
-    mem::PhysMem hostMem_;
-    os::MemoryManager hostMm_;
-    cache::CacheHierarchy caches_;
     std::vector<std::unique_ptr<virt::Vm>> vms_;
-    std::vector<std::unique_ptr<os::Memhog>> guestMemhogs_;
-    std::vector<std::unique_ptr<os::Process>> guestProcs_;
-    std::vector<std::unique_ptr<virt::NestedWalkSource>> sources_;
-    std::vector<std::unique_ptr<tlb::TlbHierarchy>> hiers_;
-    std::uint64_t refs_ = 0;
-    /** Hot counter: integral cycles, converted to double at report. */
-    std::uint64_t dataCycles_ = 0;
 };
 
-/** Harvest energy inputs from any hierarchy's stat tree. */
-perf::EnergyInputs harvestEnergyInputs(const stats::StatGroup &root,
-                                       const tlb::TlbHierarchy &hier,
-                                       TlbDesign design,
-                                       double total_cycles);
+/** References each shader core issues per scheduling turn (a warp). */
+constexpr std::uint64_t WarpRefs = 32;
+
+/** A GPU over one THP process; TLB sizes are Sec. 6.3's, no PWC. */
+struct GpuMachineParams
+{
+    std::string name = "gpu";
+    std::uint64_t memBytes = 8ULL << 30;
+    TlbDesign design = TlbDesign::Split;
+    /** Fraction of memory memhog pins before the workload starts. */
+    double memhogFraction = 0.0;
+    std::uint64_t seed = 1;
+    cache::HierarchyParams caches{};
+    unsigned numCores = 16;
+};
+
+/**
+ * One lane per shader core: the core's hierarchy (private L1, shared
+ * L2) over the one process. Data references are not charged to the
+ * caches; the GPU model covers translation only.
+ */
+class GpuMachine : public MachineCore
+{
+  public:
+    explicit GpuMachine(const GpuMachineParams &params);
+
+    unsigned numCores() const { return numHierarchies(); }
+    tlb::TlbHierarchy &core(unsigned idx) { return hierarchy(idx); }
+
+    /**
+     * Input upload: ascending first-touch of [base, base+bytes), the
+     * page at va going through core (va / 4KB) % numCores().
+     */
+    void
+    warmup(VAddr base, std::uint64_t bytes)
+    {
+        warmupLanes(0, numCores(), base, bytes, PageBytes4K);
+    }
+
+    /**
+     * Run the attached per-core streams round robin, one warp per core
+     * per turn, for @p total_refs references overall.
+     * @return references completed (short only on OOM).
+     */
+    std::uint64_t run(std::uint64_t total_refs);
+
+    /** GPU-wide shootdown: invalidate a page in every core. */
+    void invalidatePage(VAddr vbase, PageSize size);
+
+  private:
+    class WarpInterleave;
+};
 
 } // namespace mixtlb::sim
 

@@ -2,24 +2,11 @@
 
 #include <algorithm>
 
-#include "common/contracts.hh"
-#include "common/fault.hh"
 #include "common/logging.hh"
-#include "common/simd.hh"
-#include "sim/machine.hh"
 #include "tlb/ideal.hh"
 
 namespace mixtlb::sim
 {
-
-/** Mid-run audit cadence at paranoia >= 3 (must be a power of two). */
-constexpr std::uint64_t MultiAuditPeriod = 1ULL << 16;
-
-/** Deadline-poll cadence inside slices (must be a power of two). */
-constexpr std::uint64_t MultiCheckPeriod = 1ULL << 10;
-
-/** Frames reclaimed alongside each injected demote storm. */
-constexpr std::uint64_t StormReclaimFrames = 64;
 
 const char *
 switchPolicyName(SwitchPolicy policy)
@@ -64,15 +51,10 @@ MultiMachine::ProcStats::ProcStats(unsigned index,
 }
 
 MultiMachine::MultiMachine(const MultiMachineParams &params)
-    : params_(params), root_(params.name), mem_(params.memBytes),
-      mm_(mem_, &root_,
-          [&params] {
-              os::CompactionParams compaction;
-              compaction.seed = params.seed * 0x9e3779b9ULL + 17;
-              return compaction;
-          }()),
-      memhog_(mm_, params.memhogUnmovableShare),
-      caches_(params.caches, &root_), sched_("sched", &root_),
+    : MachineCore(params.name, params.memBytes,
+                  seededCompaction(params.seed), params.caches,
+                  params.design, true, true),
+      params_(params), sched_("sched", &root_),
       switches_(sched_.addScalar("context_switches",
           "context switches performed")),
       flushes_(sched_.addScalar("full_flushes",
@@ -85,36 +67,27 @@ MultiMachine::MultiMachine(const MultiMachineParams &params)
              "MultiMachine %s: quantum must be nonzero",
              params.name.c_str());
 
-    if (params.memhogFraction > 0.0)
-        memhog_.fragment(params.memhogFraction, params.seed);
-
-    source_ = std::make_unique<tlb::MultiWalkSource>(
+    os::Memhog &hog = addMemhog(mm_, params.memhogFraction, params.seed);
+    source_ = &addSource(std::make_unique<tlb::MultiWalkSource>(
         &root_, walkerScanLines(params.design),
-        pt::PwcParams{params.pwcEntries});
+        pt::PwcParams{params.pwcEntries}));
 
     for (unsigned i = 0; i < params.procs.size(); i++) {
         os::ProcessParams pp = params.procs[i];
         if (pp.name.empty() || pp.name == "proc")
             pp.name = "proc" + std::to_string(i);
-        procs_.push_back(
-            std::make_unique<os::Process>(mm_, pp, &root_));
-        source_->addProcess(
-            procs_.back()->pageTable(),
-            [this, i](VAddr va, bool store) {
-                return procs_[i]->touch(va, store)
-                       != os::TouchResult::OutOfMemory;
-            });
-        procStats_.push_back(
-            std::make_unique<ProcStats>(i, &root_));
+        os::Process &proc = addProcess(mm_, pp);
+        source_->addProcess(proc.pageTable(), [&proc](VAddr va, bool store) {
+            return proc.touch(va, store) != os::TouchResult::OutOfMemory;
+        });
+        procStats_.push_back(std::make_unique<ProcStats>(i, &root_));
     }
-    gens_.resize(procs_.size());
 
-    const pt::PageTable *table = &procs_[0]->pageTable();
-    hier_ = std::make_unique<tlb::TlbHierarchy>(
+    const pt::PageTable *table = &process(0).pageTable();
+    hier_ = &addHierarchy(
         "tlb", &root_,
         makeCpuL1(params.design, &root_, table, params.scale),
-        makeCpuL2(params.design, &root_, table, params.scale),
-        *source_, caches_, params.tlbLatency);
+        makeCpuL2(params.design, &root_, table, params.scale), *source_);
 
     // The Ideal design bypasses fills and translates straight from a
     // page table, so it needs every address space registered by ASID.
@@ -122,37 +95,23 @@ MultiMachine::MultiMachine(const MultiMachineParams &params)
         for (auto *level : {&hier_->l1(), &hier_->l2()}) {
             auto *ideal = dynamic_cast<tlb::IdealTlb *>(level);
             panic_if(!ideal, "Ideal design without IdealTlb levels");
-            for (unsigned i = 0; i < procs_.size(); i++)
-                ideal->registerTable(asidOf(i), procs_[i]->pageTable());
+            for (unsigned i = 0; i < numProcs(); i++)
+                ideal->registerTable(asidOf(i), process(i).pageTable());
         }
     }
 
-    // Shootdowns from compaction / memhog churn broadcast with the
-    // owning process's ASID, whoever happens to be running.
-    for (unsigned i = 0; i < procs_.size(); i++) {
-        procs_[i]->addInvalidateListener(
-            [this, i](VAddr vbase, PageSize size) {
-                hier_->invalidatePage(vbase, size, asidOf(i));
-            });
-    }
+    // One lane per process over the shared hierarchy. Shootdowns from
+    // compaction / memhog churn broadcast with the owning process's
+    // ASID, whoever happens to be running.
+    for (unsigned i = 0; i < numProcs(); i++)
+        addLane(*hier_, process(i), hog, asidOf(i));
 
     // Start with process 0 resident so warmup/run never translate
     // against an unswitched walker.
     switchTo(0);
 }
 
-VAddr
-MultiMachine::mapArena(unsigned proc, std::uint64_t bytes)
-{
-    return procs_.at(proc)->mmap(bytes);
-}
-
-void
-MultiMachine::attachWorkload(
-    unsigned proc, std::unique_ptr<workload::TraceGenerator> gen)
-{
-    gens_.at(proc) = std::move(gen);
-}
+MultiMachine::~MultiMachine() = default;
 
 MultiMachine::Snapshot
 MultiMachine::takeSnapshot() const
@@ -215,49 +174,53 @@ MultiMachine::switchTo(unsigned proc)
     everSwitched_ = true;
 }
 
-std::uint64_t
-MultiMachine::runSlice(unsigned proc, std::uint64_t refs)
+/**
+ * The multiprogrammed schedule: processes in round-robin order, one
+ * quantum per turn, with a context switch before and per-process
+ * attribution after each turn. A short turn (OOM) parks its process
+ * for good; the run ends when every process is done or parked.
+ */
+class MultiMachine::RoundRobin final : public Schedule
 {
-    MemRef batch[MultiCheckPeriod];
-    workload::TraceGenerator &gen = *gens_[proc];
-    const bool data_through_caches = params_.dataRefsThroughCaches;
-    std::uint64_t done = 0;
-    while (done < refs) {
-        const auto chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(
-                MultiCheckPeriod - (done & (MultiCheckPeriod - 1)),
-                refs - done));
-        simd::prefetchWrite(batch);     // next trace chunk
-        simd::prefetchWrite(batch + 4);
-        gen.nextBatch(batch, chunk);
-        auto br = hier_->translateBatch({batch, chunk},
-                                        data_through_caches);
-        bool oom = false;
-        if (!br.ok) {
-            warn("machine %s: process %u out of memory, parking it",
-                 params_.name.c_str(), proc);
-            oom = true;
-        }
-        done += br.done;
-        dataCycles_ += br.dataCycles;
-        if (oom)
-            break;
-        if ((done & (MultiCheckPeriod - 1)) == 0 &&
-            fault::deadlineExpired()) {
-            memhog_.burstRelease();
-            MIX_RAISE("deadline",
-                      "machine %s exceeded per-point deadline after "
-                      "%llu refs of process %u",
-                      params_.name.c_str(), (unsigned long long)done,
-                      proc);
-        }
-        if (contracts::paranoia() >= 3 &&
-            (done & (MultiAuditPeriod - 1)) == 0) {
-            auditAll();
-        }
+  public:
+    RoundRobin(MultiMachine &machine, std::uint64_t refs_per_proc)
+        : machine_(machine),
+          remaining_(machine.numProcs(), refs_per_proc)
+    {
+        hookAtTurnEnd = true;
     }
-    return done;
-}
+
+    bool
+    next(Turn &turn) override
+    {
+        for (std::size_t tried = 0; tried < remaining_.size(); tried++) {
+            const unsigned proc = next_;
+            next_ = (next_ + 1) % machine_.numProcs();
+            if (!remaining_[proc])
+                continue;
+            machine_.switchTo(proc);
+            before_ = machine_.takeSnapshot();
+            turn = {proc, machine_.gens_[proc].get(),
+                    std::min(machine_.params_.quantum, remaining_[proc])};
+            return true;
+        }
+        return false;
+    }
+
+    void
+    finish(const Turn &turn, std::uint64_t done) override
+    {
+        machine_.accumulate(turn.lane, before_);
+        remaining_[turn.lane] =
+            done < turn.refs ? 0 : remaining_[turn.lane] - done;
+    }
+
+  private:
+    MultiMachine &machine_;
+    std::vector<std::uint64_t> remaining_;
+    unsigned next_ = 0;
+    Snapshot before_{};
+};
 
 std::uint64_t
 MultiMachine::run(std::uint64_t refs_per_proc)
@@ -267,47 +230,8 @@ MultiMachine::run(std::uint64_t refs_per_proc)
                  "machine %s: process %u has no workload attached",
                  params_.name.c_str(), i);
     }
-    std::vector<std::uint64_t> remaining(numProcs(), refs_per_proc);
-    std::uint64_t total = 0;
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (unsigned i = 0; i < numProcs(); i++) {
-            if (!remaining[i])
-                continue;
-            const std::uint64_t slice =
-                std::min(params_.quantum, remaining[i]);
-            switchTo(i);
-            const Snapshot before = takeSnapshot();
-            const std::uint64_t done = runSlice(i, slice);
-            accumulate(i, before);
-            total += done;
-            if (done)
-                progress = true;
-            // A short slice means OOM: park the process for good.
-            remaining[i] = done < slice ? 0 : remaining[i] - done;
-            // Pressure bursts straddle slice boundaries: the previous
-            // burst (if any) ends here, and a new one may begin.
-            memhog_.burstRelease();
-            if (fault::fire(fault::Site::PressureBurst))
-                memhog_.burstAcquire(mem_.buddy().freeFrames() / 2);
-            // Injected demotion storms model the OS under memory
-            // duress: demote one of this process's superpages, then
-            // reclaim frames — which may shrink *other* processes too
-            // (the reclaimer registry spans the shared memory
-            // manager), exercising per-ASID shootdown isolation.
-            if (fault::fire(fault::Site::DemoteStorm)) {
-                procs_[i]->demoteStorm(1);
-                mm_.reclaim(StormReclaimFrames);
-            }
-            procs_[i]->maintain();
-        }
-    }
-    memhog_.burstRelease();
-    refs_ += total;
-    if (contracts::paranoia() >= 1)
-        auditAll();
-    return total;
+    RoundRobin schedule(*this, refs_per_proc);
+    return drive(schedule);
 }
 
 void
@@ -315,63 +239,7 @@ MultiMachine::warmup(unsigned proc, VAddr base, std::uint64_t bytes,
                      std::uint64_t step)
 {
     switchTo(proc);
-    std::uint64_t steps = 0;
-    for (std::uint64_t off = 0; off < bytes; off += step, steps++) {
-        auto result = hier_->access(base + off, true);
-        if (!result.ok) {
-            MIX_RAISE("oom",
-                      "machine %s: warmup of process %u ran out of "
-                      "memory at offset %llu of %llu bytes",
-                      params_.name.c_str(), proc,
-                      (unsigned long long)off,
-                      (unsigned long long)bytes);
-        }
-        if ((steps & (MultiCheckPeriod - 1)) == MultiCheckPeriod - 1 &&
-            fault::deadlineExpired()) {
-            MIX_RAISE("deadline",
-                      "machine %s exceeded per-point deadline during "
-                      "warmup of process %u",
-                      params_.name.c_str(), proc);
-        }
-    }
-    if (contracts::paranoia() >= 1)
-        auditAll();
-}
-
-void
-MultiMachine::auditAll() const
-{
-    contracts::AuditReport report(params_.name);
-    mem_.audit(report);
-    for (const auto &proc : procs_)
-        proc->audit(report);
-    hier_->l1().audit(report);
-    hier_->l2().audit(report);
-    contracts::require(report);
-}
-
-void
-MultiMachine::startMeasurement()
-{
-    root_.resetStats();
-    refs_ = 0;
-    dataCycles_ = 0;
-}
-
-perf::RunMetrics
-MultiMachine::metrics(const perf::PerfParams &params) const
-{
-    return perf::computeMetrics(refs_, hier_->translationCycleCount(),
-                                static_cast<double>(dataCycles_),
-                                params);
-}
-
-perf::EnergyInputs
-MultiMachine::energyInputs() const
-{
-    auto metrics_now = metrics();
-    return harvestEnergyInputs(root_, *hier_, params_.design,
-                               metrics_now.totalCycles);
+    warmupLanes(proc, 1, base, bytes, step);
 }
 
 double
@@ -386,12 +254,6 @@ MultiMachine::procL1MissRate(unsigned proc) const
     const ProcStats &ps = *procStats_.at(proc);
     const double total = ps.accesses.value();
     return total > 0 ? 1.0 - ps.l1Hits.value() / total : 0.0;
-}
-
-os::PageSizeDistribution
-MultiMachine::distribution(unsigned proc) const
-{
-    return os::scanDistribution(procs_.at(proc)->pageTable());
 }
 
 } // namespace mixtlb::sim

@@ -16,17 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/cache.hh"
-#include "os/memhog.hh"
-#include "os/memory_manager.hh"
-#include "os/process.hh"
-#include "os/scan.hh"
-#include "perf/energy_model.hh"
-#include "perf/perf_model.hh"
-#include "sim/configs.hh"
-#include "tlb/hierarchy.hh"
-#include "tlb/walk_source.hh"
-#include "workload/generator.hh"
+#include "sim/machine_core.hh"
 
 namespace mixtlb::sim
 {
@@ -52,12 +42,9 @@ struct MultiMachineParams
     TlbDesign design = TlbDesign::Split;
     ConfigScale scale{};
     double memhogFraction = 0.0;
-    double memhogUnmovableShare = 0.2;
     std::uint64_t seed = 1;
-    bool dataRefsThroughCaches = true;
     unsigned pwcEntries = 0;
     cache::HierarchyParams caches{};
-    tlb::TlbHierarchyParams tlbLatency{};
 };
 
 /**
@@ -68,15 +55,13 @@ struct MultiMachineParams
  * hierarchy's counters around each slice, and land in per-process
  * stat groups "p0", "p1", ... under the machine root.
  */
-class MultiMachine
+class MultiMachine : public MachineCore
 {
   public:
     explicit MultiMachine(const MultiMachineParams &params);
+    ~MultiMachine();
 
-    unsigned numProcs() const
-    {
-        return static_cast<unsigned>(procs_.size());
-    }
+    unsigned numProcs() const { return numProcesses(); }
 
     /** ASID of process @p proc. ASID 0 stays the single-process default. */
     static Asid asidOf(unsigned proc)
@@ -84,16 +69,9 @@ class MultiMachine
         return static_cast<Asid>(proc + 1);
     }
 
-    /** Reserve a virtual arena for process @p proc's workload. */
-    VAddr mapArena(unsigned proc, std::uint64_t bytes);
-
     /** Pre-touch + pre-translate an arena as process @p proc. */
     void warmup(unsigned proc, VAddr base, std::uint64_t bytes,
                 std::uint64_t step = pageBytes(PageSize::Size4K));
-
-    /** Hand process @p proc its reference stream. */
-    void attachWorkload(unsigned proc,
-                        std::unique_ptr<workload::TraceGenerator> gen);
 
     /**
      * Round-robin all processes, @p refs_per_proc references each, in
@@ -102,34 +80,16 @@ class MultiMachine
      */
     std::uint64_t run(std::uint64_t refs_per_proc);
 
-    /** Reset statistics after warmup. */
-    void startMeasurement();
-
-    /** Run every structural auditor (all processes + TLBs + memory). */
-    void auditAll() const;
-
-    /** Machine-wide metrics over the measured window. */
-    perf::RunMetrics metrics(const perf::PerfParams &params = {}) const;
-
-    /** Machine-wide energy-model inputs. */
-    perf::EnergyInputs energyInputs() const;
-
     /** Per-process attribution scalar @p name (group "p<proc>"). */
     double procStat(unsigned proc, const std::string &name) const;
 
     /** Per-process L1 TLB miss fraction over the measured window. */
     double procL1MissRate(unsigned proc) const;
 
-    os::PageSizeDistribution distribution(unsigned proc) const;
-
     double contextSwitches() const { return switches_.value(); }
     double fullFlushes() const { return flushes_.value(); }
 
-    os::Process &process(unsigned proc) { return *procs_.at(proc); }
-    tlb::TlbHierarchy &tlbs() { return *hier_; }
-    stats::StatGroup &root() { return root_; }
-    TlbDesign design() const { return params_.design; }
-    SwitchPolicy policy() const { return params_.policy; }
+    tlb::TlbHierarchy &tlbs() { return hierarchy(0); }
 
   private:
     /** Snapshot of the shared hierarchy's counters for attribution. */
@@ -174,20 +134,11 @@ class MultiMachine
      */
     void switchTo(unsigned proc);
 
-    /** Replay up to @p refs references of @p proc's stream. */
-    std::uint64_t runSlice(unsigned proc, std::uint64_t refs);
+    class RoundRobin;
 
     MultiMachineParams params_;
-    stats::StatGroup root_;
-    mem::PhysMem mem_;
-    os::MemoryManager mm_;
-    os::Memhog memhog_;
-    cache::CacheHierarchy caches_;
-
-    std::vector<std::unique_ptr<os::Process>> procs_;
-    std::vector<std::unique_ptr<workload::TraceGenerator>> gens_;
-    std::unique_ptr<tlb::MultiWalkSource> source_;
-    std::unique_ptr<tlb::TlbHierarchy> hier_;
+    tlb::MultiWalkSource *source_ = nullptr;
+    tlb::TlbHierarchy *hier_ = nullptr;
     std::vector<std::unique_ptr<ProcStats>> procStats_;
 
     stats::StatGroup sched_;
@@ -196,8 +147,6 @@ class MultiMachine
 
     unsigned current_ = 0;
     bool everSwitched_ = false;
-    std::uint64_t refs_ = 0;
-    std::uint64_t dataCycles_ = 0;
 };
 
 } // namespace mixtlb::sim

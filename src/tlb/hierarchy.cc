@@ -39,10 +39,9 @@ TlbHierarchy::TlbHierarchy(const std::string &name,
                            std::unique_ptr<BaseTlb> l1,
                            std::shared_ptr<BaseTlb> l2,
                            WalkSource &source,
-                           cache::CacheHierarchy &caches,
-                           TlbHierarchyParams params)
+                           cache::CacheHierarchy &caches)
     : stats_(name, parent), l1_(std::move(l1)), l2_(std::move(l2)),
-      source_(source), caches_(caches), params_(params),
+      source_(source), caches_(caches),
       accesses_(stats_.addCounter("accesses", "translated references")),
       l1Hits_(stats_.addCounter("l1_hits", "L1 TLB hits")),
       l2Hits_(stats_.addCounter("l2_hits", "L2 TLB hits")),
@@ -187,7 +186,7 @@ TlbHierarchy::accessImpl(VAddr vaddr, bool is_store)
         ++l1Hits_;
         result.l1Hit = true;
         result.paddr = l1_result.xlate.translate(vaddr);
-        result.cycles = params_.l1HitLatency;
+        result.cycles = L1HitLatency;
         const bool micro_op = is_store && !l1_result.entryDirty;
         if (micro_op)
             result.cycles += dirtyMicroOp(vaddr);
@@ -210,7 +209,7 @@ TlbHierarchy::accessImpl(VAddr vaddr, bool is_store)
         ++l2Hits_;
         result.l2Hit = true;
         result.paddr = l2_result.xlate.translate(vaddr);
-        result.cycles = params_.l1HitLatency + params_.l2HitLatency;
+        result.cycles = L1HitLatency + L2HitLatency;
         // Refill L1, handing any L2 coalescing bundle down so an L2 MIX
         // hit preserves L1 MIX coalescing without a walk.
         FillInfo refill;
@@ -246,7 +245,7 @@ TlbHierarchy::accessImpl(VAddr vaddr, bool is_store)
 
     // Full miss: walk, servicing at most one page fault.
     result.walked = true;
-    result.cycles = params_.l1HitLatency + params_.l2HitLatency;
+    result.cycles = L1HitLatency + L2HitLatency;
     ++walks_;
     pt::WalkResult walk = source_.walk(vaddr, is_store);
     result.cycles += chargeWalk(walk);

@@ -73,11 +73,9 @@ class WalkSource
     }
 };
 
-struct TlbHierarchyParams
-{
-    Cycles l1HitLatency = 1;
-    Cycles l2HitLatency = 7;
-};
+/** Hit latencies of the two TLB levels, in cycles. */
+constexpr Cycles L1HitLatency = 1;
+constexpr Cycles L2HitLatency = 7;
 
 /**
  * Process-wide switch for the L0 MRU translation filter (on by
@@ -98,8 +96,7 @@ class TlbHierarchy
      */
     TlbHierarchy(const std::string &name, stats::StatGroup *parent,
                  std::unique_ptr<BaseTlb> l1, std::shared_ptr<BaseTlb> l2,
-                 WalkSource &source, cache::CacheHierarchy &caches,
-                 TlbHierarchyParams params = {});
+                 WalkSource &source, cache::CacheHierarchy &caches);
 
     struct AccessResult
     {
@@ -216,7 +213,6 @@ class TlbHierarchy
     std::shared_ptr<BaseTlb> l2_;
     WalkSource &source_;
     cache::CacheHierarchy &caches_;
-    TlbHierarchyParams params_;
 
     /**
      * The L0 MRU translation filter: a one-entry cache of the last

@@ -1,16 +1,13 @@
 /**
  * @file
- * Tests for the GPU system: per-core L1 TLBs over a shared L2 and a
- * shared walker, warp-interleaved execution, and GPU-wide shootdowns.
+ * Tests for the GPU machine: per-core L1 TLBs over a shared L2 and a
+ * shared walker, warp-interleaved execution, GPU-wide shootdowns, and
+ * energy inputs counted over distinct TLB levels.
  */
 
 #include <gtest/gtest.h>
 
-#include "gpu/gpu_system.hh"
-#include "os/memory_manager.hh"
-#include "os/process.hh"
-#include "sim/configs.hh"
-#include "tlb/walk_source.hh"
+#include "sim/machine.hh"
 
 using namespace mixtlb;
 
@@ -22,48 +19,24 @@ constexpr std::uint64_t GiB = 1024 * MiB;
 
 struct GpuFixture : ::testing::Test
 {
-    mem::PhysMem mem{4 * GiB};
-    stats::StatGroup root{"test"};
-    os::MemoryManager mm{mem, &root};
-    os::Process proc;
-    cache::CacheHierarchy caches{cache::HierarchyParams{}, &root};
-    tlb::NativeWalkSource source;
-
-    GpuFixture()
-        : proc(mm, []{
-              os::ProcessParams params;
-              params.policy = os::PagePolicy::Thp;
-              return params;
-          }(), &root),
-          source(proc.pageTable(), &root, [this](VAddr va, bool st) {
-              return proc.touch(va, st) != os::TouchResult::OutOfMemory;
-          })
-    {}
-
-    std::unique_ptr<gpu::GpuSystem>
+    static std::unique_ptr<sim::GpuMachine>
     makeGpu(sim::TlbDesign design, unsigned cores = 4)
     {
-        gpu::GpuParams params;
+        sim::GpuMachineParams params;
+        params.memBytes = 4 * GiB;
         params.numCores = cores;
-        auto l2 = sim::makeGpuL2(design, &root, &proc.pageTable());
-        return std::make_unique<gpu::GpuSystem>(
-            params, &root,
-            [&, design](unsigned core, stats::StatGroup *parent) {
-                return sim::makeGpuCoreL1(design, core, parent,
-                                          &proc.pageTable());
-            },
-            l2, source, caches);
+        params.design = design;
+        return std::make_unique<sim::GpuMachine>(params);
     }
 
-    std::vector<std::unique_ptr<workload::TraceGenerator>>
-    makeGenerators(const std::string &name, VAddr base,
-                   std::uint64_t bytes, unsigned cores)
+    static void
+    attachGenerators(sim::GpuMachine &gpu, const std::string &name,
+                     VAddr base, std::uint64_t bytes)
     {
-        std::vector<std::unique_ptr<workload::TraceGenerator>> gens;
-        for (unsigned core = 0; core < cores; core++)
-            gens.push_back(workload::makeGenerator(name, base, bytes,
-                                                   1000 + core));
-        return gens;
+        for (unsigned core = 0; core < gpu.numCores(); core++) {
+            gpu.attachWorkload(core, workload::makeGenerator(
+                                         name, base, bytes, 1000 + core));
+        }
     }
 };
 
@@ -71,68 +44,84 @@ struct GpuFixture : ::testing::Test
 
 TEST_F(GpuFixture, RunsWarpInterleavedAcrossCores)
 {
-    auto gpu_system = makeGpu(sim::TlbDesign::Mix);
-    VAddr base = proc.mmap(128 * MiB);
-    auto gens = makeGenerators("bfs", base, 64 * MiB, 4);
-    Cycles cycles = gpu_system->run(gens, 40000);
-    EXPECT_GT(cycles, 0u);
+    auto gpu = makeGpu(sim::TlbDesign::Mix);
+    VAddr base = gpu->mapArena(128 * MiB);
+    attachGenerators(*gpu, "bfs", base, 64 * MiB);
+    EXPECT_EQ(gpu->run(40000), 40000u);
+    EXPECT_GT(gpu->metrics().translationCycles, 0.0);
     // Every core saw roughly total/4 references.
     for (unsigned core = 0; core < 4; core++) {
-        EXPECT_NEAR(gpu_system->core(core).accessCount(), 10000.0, 64.0)
+        EXPECT_NEAR(gpu->core(core).accessCount(), 10000.0, 64.0)
             << core;
     }
 }
 
 TEST_F(GpuFixture, SharedL2ServesAllCores)
 {
-    auto gpu_system = makeGpu(sim::TlbDesign::Mix);
-    VAddr base = proc.mmap(128 * MiB);
+    auto gpu = makeGpu(sim::TlbDesign::Mix);
+    VAddr base = gpu->mapArena(128 * MiB);
     // Core 0 warms the shared L2; later cores reuse its fills.
-    auto gens = makeGenerators("pathfinder", base, 8 * MiB, 4);
-    gpu_system->run(gens, 80000);
+    attachGenerators(*gpu, "pathfinder", base, 8 * MiB);
+    gpu->run(80000);
     double l2_hits = 0;
     for (unsigned core = 1; core < 4; core++)
-        l2_hits += gpu_system->core(core).l2HitCount();
+        l2_hits += gpu->core(core).l2HitCount();
     EXPECT_GT(l2_hits, 0.0);
 }
 
 TEST_F(GpuFixture, ShootdownHitsEveryCore)
 {
-    auto gpu_system = makeGpu(sim::TlbDesign::Mix);
-    VAddr base = proc.mmap(128 * MiB);
-    auto gens = makeGenerators("pathfinder", base, 8 * MiB, 4);
-    gpu_system->run(gens, 20000);
-    auto leaf = proc.pageTable().translate(base);
+    auto gpu = makeGpu(sim::TlbDesign::Mix);
+    VAddr base = gpu->mapArena(128 * MiB);
+    attachGenerators(*gpu, "pathfinder", base, 8 * MiB);
+    gpu->run(20000);
+    auto leaf = gpu->process().pageTable().translate(base);
     ASSERT_TRUE(leaf.has_value());
-    gpu_system->invalidatePage(leaf->vbase, leaf->size);
+    gpu->invalidatePage(leaf->vbase, leaf->size);
     for (unsigned core = 0; core < 4; core++) {
-        auto result = gpu_system->core(core).l1().lookup(base, false);
+        auto result = gpu->core(core).l1().lookup(base, false);
         EXPECT_FALSE(result.hit) << core;
     }
+}
+
+TEST_F(GpuFixture, SharedL2InvalidationsCountOnceInEnergy)
+{
+    // A GPU-wide shootdown reaches the shared L2 through every core's
+    // hierarchy; the energy inputs must still count that one L2 once,
+    // next to each core's private L1.
+    auto gpu = makeGpu(sim::TlbDesign::Split);
+    VAddr base = gpu->mapArena(64 * MiB);
+    gpu->warmup(base, 8 * MiB);
+    gpu->startMeasurement();
+    auto leaf = gpu->process().pageTable().translate(base);
+    ASSERT_TRUE(leaf.has_value());
+    ASSERT_TRUE(gpu->core(0).l2().lookup(base, false).hit);
+    gpu->invalidatePage(leaf->vbase, leaf->size);
+    EXPECT_FALSE(gpu->core(0).l2().lookup(base, false).hit);
+
+    double l1_invalidations = 0;
+    for (unsigned core = 0; core < 4; core++)
+        l1_invalidations += gpu->core(core).l1().invalidationCount();
+    const double l2_invalidations = gpu->core(0).l2().invalidationCount();
+    EXPECT_GT(l2_invalidations, 0.0);
+    EXPECT_EQ(gpu->energyInputs().invalidations,
+              l1_invalidations + l2_invalidations);
 }
 
 TEST_F(GpuFixture, MixBeatsSplitOnGpuWorkloads)
 {
     // The headline GPU claim, in miniature: identical footprints and
     // reference streams, THS paging; MIX should miss less than split.
-    VAddr base = proc.mmap(512 * MiB);
-
-    // Initialization sweep (the kernel's input upload): ascending
-    // first-touch hands contiguous frames and warms the TLB state.
-    auto warm = [&](gpu::GpuSystem &system) {
-        for (VAddr va = base; va < base + 256 * MiB; va += PageBytes4K)
-            system.core((va >> PageShift4K) % 4).access(va, true);
+    auto run = [](sim::TlbDesign design) {
+        auto gpu = makeGpu(design);
+        VAddr base = gpu->mapArena(512 * MiB);
+        // Initialization sweep (the kernel's input upload): ascending
+        // first-touch hands contiguous frames and warms the TLB state.
+        gpu->warmup(base, 256 * MiB);
+        gpu->startMeasurement();
+        attachGenerators(*gpu, "bfs", base, 256 * MiB);
+        gpu->run(100000);
+        return gpu->metrics().translationCycles;
     };
-
-    auto split_gpu = makeGpu(sim::TlbDesign::Split);
-    warm(*split_gpu);
-    auto gens_a = makeGenerators("bfs", base, 256 * MiB, 4);
-    Cycles split_cycles = split_gpu->run(gens_a, 100000);
-
-    auto mix_gpu = makeGpu(sim::TlbDesign::Mix);
-    warm(*mix_gpu);
-    auto gens_b = makeGenerators("bfs", base, 256 * MiB, 4);
-    Cycles mix_cycles = mix_gpu->run(gens_b, 100000);
-
-    EXPECT_LT(mix_cycles, split_cycles);
+    EXPECT_LT(run(sim::TlbDesign::Mix), run(sim::TlbDesign::Split));
 }

@@ -16,7 +16,8 @@ Reports produced with demotion storms (`--demote-storm R`, or
 demote-storm in the --inject schedule) additionally prove the
 memory-pressure lifecycle was live and harmless:
 
-  stormed      the demote-storm site actually fired
+  stormed      the demote-storm site actually fired, on every machine
+               kind in the grid (native, virt, multi, gpu)
   cycled       superpage demotions and page reclaims were recorded
   precise      no point was quarantined: every storm's shootdowns left
                the TLBs coherent (the paranoia oracle would have
@@ -93,6 +94,15 @@ def main() -> None:
     if stormed:
         if fires.get("demote-storm", 0) == 0:
             fail("demote-storm never fired despite being injected")
+        storms_by_kind = {}
+        for record in results:
+            kind = record.get("config", {}).get("kind", "unknown")
+            storms_by_kind[kind] = storms_by_kind.get(kind, 0) + record.get(
+                "faults", {}
+            ).get("demote-storm", 0)
+        quiet = sorted(kind for kind, n in storms_by_kind.items() if n == 0)
+        if quiet:
+            fail(f"demote-storm never fired on {', '.join(quiet)} points")
         demotions = sum(
             r.get("metrics", {}).get("demotions", 0) for r in ok
         )

@@ -2,7 +2,7 @@
 
 Enforces the module DAG
     common -> {mem, pt, cache, perf} -> {tlb, os, virt} -> workload
-           -> {sim, gpu} -> bench/tests/examples
+           -> sim -> bench/tests/examples
 by include-graph extraction: a module may include same-rank or
 lower-rank modules only, and the file-level include graph must stay
 acyclic. Upward includes are how layering rots -- one "just this once"
@@ -20,7 +20,7 @@ RANKS = {
     "mem": 1, "pt": 1, "cache": 1, "perf": 1,
     "tlb": 2, "os": 2, "virt": 2,
     "workload": 3,
-    "sim": 4, "gpu": 4,
+    "sim": 4,
     "bench": 5, "tests": 5, "examples": 5, "tools": 5,
 }
 
