@@ -9,15 +9,6 @@
  * measurements of the simulator itself — the repo's perf trajectory
  * baseline. `--json` (default BENCH_hotpath.json) emits the report
  * that tools/check_perf.py validates in CI.
- *
- * Each design is measured twice by default: once with the compiled
- * SIMD probe kernels (src/common/simd.hh) and once with the kernels
- * forced scalar, giving an end-to-end scalar-vs-SIMD comparison in the
- * same report (`--scalar-compare 0` skips the scalar pass; it is also
- * skipped when MIXTLB_FORCE_SCALAR already pins the run to scalar).
- * The modeled results are bit-identical either way — only wall time
- * moves — so the primary samples stay comparable across reports
- * regardless of kernel.
  */
 
 #include <algorithm>
@@ -29,7 +20,6 @@
 
 #include "bench_common.hh"
 #include "common/json.hh"
-#include "common/simd.hh"
 #include "workload/generator.hh"
 
 using namespace mixtlb;
@@ -83,7 +73,7 @@ seconds(std::chrono::steady_clock::time_point start,
     return std::chrono::duration<double>(stop - start).count();
 }
 
-/** One full measurement of a design under the current kernel mode. */
+/** One full measurement of a design. */
 DesignRun
 measureDesign(sim::TlbDesign design, std::uint64_t refs,
               std::uint64_t footprint, std::uint64_t mem,
@@ -137,8 +127,6 @@ main(int argc, char **argv)
         args.getU64("footprint-mb", 64) * MiB;
     const std::uint64_t mem = args.getU64("mem-mb", 512) * MiB;
     const std::uint64_t seed = args.getU64("seed", 3);
-    const bool scalar_compare =
-        args.getU64("scalar-compare", 1) != 0 && !simd::scalarForced();
     const std::string json_path =
         args.getString("json", "BENCH_hotpath.json");
 
@@ -146,13 +134,11 @@ main(int argc, char **argv)
     doc["benchmark"] = "hotpath";
     doc["refs_per_workload"] = refs;
     doc["footprint_bytes"] = footprint;
-    doc["simd_kernel"] = simd::activeKernelName();
     doc["designs"] = json::Value::array();
 
-    sim::Table table({"design", "workload", "refs/sec", "ns/lookup",
-                      "scalar refs/sec", "simd x"});
+    sim::Table table({"design", "workload", "refs/sec", "ns/lookup"});
 
-    double log_rate_sum = 0, log_speedup_sum = 0;
+    double log_rate_sum = 0;
     std::size_t rate_count = 0;
 
     // Discarded warm pass: the first timed sample of the process
@@ -164,12 +150,6 @@ main(int argc, char **argv)
     for (sim::TlbDesign design : Designs) {
         const DesignRun run =
             measureDesign(design, refs, footprint, mem, seed);
-        DesignRun scalar_run;
-        if (scalar_compare) {
-            simd::ForceScalarGuard guard;
-            scalar_run = measureDesign(design, refs, footprint, mem,
-                                       seed);
-        }
 
         auto entry = json::Value::object();
         entry["design"] = sim::designName(design);
@@ -182,20 +162,6 @@ main(int argc, char **argv)
             sample["wall_seconds"] = s.wallSeconds;
             sample["refs_per_sec"] = s.refsPerSec;
             sample["ns_per_ref"] = s.nsPerRef;
-            std::string scalar_cell = "-";
-            std::string speedup_cell = "-";
-            if (scalar_compare) {
-                const Sample &sc = scalar_run.workloads[p];
-                const double speedup = sc.refsPerSec > 0
-                                           ? s.refsPerSec / sc.refsPerSec
-                                           : 0.0;
-                sample["scalar_refs_per_sec"] = sc.refsPerSec;
-                sample["simd_speedup"] = speedup;
-                scalar_cell = sim::Table::fmt(sc.refsPerSec, 0);
-                speedup_cell = sim::Table::fmt(speedup, 2);
-                if (speedup > 0)
-                    log_speedup_sum += std::log(speedup);
-            }
             if (s.refsPerSec > 0) {
                 log_rate_sum += std::log(s.refsPerSec);
                 ++rate_count;
@@ -203,38 +169,22 @@ main(int argc, char **argv)
             workloads[ReferenceMix[p].label] = std::move(sample);
             table.addRow({sim::designName(design), ReferenceMix[p].label,
                           sim::Table::fmt(s.refsPerSec, 0),
-                          sim::Table::fmt(s.nsPerRef, 1), scalar_cell,
-                          speedup_cell});
+                          sim::Table::fmt(s.nsPerRef, 1)});
         }
 
         entry["workloads"] = std::move(workloads);
         entry["refs_per_sec"] = run.refsPerSec;
         entry["ns_per_ref"] = run.nsPerRef;
-        if (scalar_compare) {
-            entry["scalar_refs_per_sec"] = scalar_run.refsPerSec;
-            entry["simd_speedup"] = scalar_run.refsPerSec > 0
-                                        ? run.refsPerSec /
-                                              scalar_run.refsPerSec
-                                        : 0.0;
-        }
         doc["designs"].push(std::move(entry));
     }
 
     if (rate_count > 0)
         doc["geomean_refs_per_sec"] = std::exp(log_rate_sum / rate_count);
-    if (scalar_compare && rate_count > 0)
-        doc["geomean_simd_speedup"] =
-            std::exp(log_speedup_sum / rate_count);
 
     table.print();
-    std::printf("kernel: %s", simd::activeKernelName());
     if (rate_count > 0)
-        std::printf("  geomean %.0f refs/sec",
+        std::printf("geomean %.0f refs/sec\n",
                     std::exp(log_rate_sum / rate_count));
-    if (scalar_compare && rate_count > 0)
-        std::printf("  simd speedup %.2fx",
-                    std::exp(log_speedup_sum / rate_count));
-    std::printf("\n");
     if (!json::writeFile(json_path, doc)) {
         std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
         return 1;

@@ -8,9 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <vector>
-
-#include "common/simd.hh"
 #include "mem/phys_mem.hh"
 #include "pt/page_table.hh"
 #include "pt/walker.hh"
@@ -24,83 +21,6 @@ namespace
 {
 
 constexpr std::uint64_t GiB = 1024ULL * 1024 * 1024;
-
-/** Label a scalar-vs-SIMD benchmark leg with the kernel it ran. */
-void
-setKernelLabel(benchmark::State &state)
-{
-    state.SetLabel(simd::activeKernelName());
-}
-
-/**
- * Per-kernel probe microbenchmarks: firstEqual/firstEqualAny over lane
- * sizes spanning the TLB/cache geometries (8-way cache set, 16-way
- * LLC, 64-entry fully-assoc sweep), with the needle at the lane's end
- * — a full-length scan, the probe's worst case. range(1) selects the
- * scalar (1) or compiled SIMD (0) kernel, so one run reports both
- * sides of the comparison.
- */
-void
-BM_SimdFirstEqual(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    simd::ForceScalarGuard guard(state.range(1) != 0);
-    setKernelLabel(state);
-    std::vector<std::uint64_t> lane(n);
-    for (std::size_t i = 0; i < n; ++i)
-        lane[i] = 0x9e3779b97f4a7c15ULL * (i + 1);
-    const std::uint64_t needle = n > 0 ? lane[n - 1] : 1;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            simd::firstEqual(lane.data(), n, needle));
-}
-BENCHMARK(BM_SimdFirstEqual)
-    ->Args({8, 0})->Args({8, 1})
-    ->Args({16, 0})->Args({16, 1})
-    ->Args({64, 0})->Args({64, 1});
-
-void
-BM_SimdFirstEqualAny(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    simd::ForceScalarGuard guard(state.range(1) != 0);
-    setKernelLabel(state);
-    std::vector<std::uint64_t> lane(n);
-    for (std::size_t i = 0; i < n; ++i)
-        lane[i] = 0x9e3779b97f4a7c15ULL * (i + 1);
-    // NumPageSizes candidates, the MIX/fully-assoc probe shape; only
-    // the last candidate hits, at the end of the lane.
-    const std::uint64_t cands[3] = {1, 2, n > 0 ? lane[n - 1] : 3};
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            simd::firstEqualAny(lane.data(), n, cands, 3));
-}
-BENCHMARK(BM_SimdFirstEqualAny)
-    ->Args({8, 0})->Args({8, 1})
-    ->Args({16, 0})->Args({16, 1})
-    ->Args({64, 0})->Args({64, 1});
-
-void
-BM_SimdL0RunLength(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    simd::ForceScalarGuard guard(state.range(1) != 0);
-    setKernelLabel(state);
-    constexpr VAddr lo = 0x00400000;
-    std::vector<MemRef> refs(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        refs[i].vaddr = lo + (i * 64) % PageBytes4K;
-        refs[i].type = AccessType::Read;
-    }
-    if (n > 0)
-        refs[n - 1].vaddr = lo + PageBytes4K; // run breaks at the tail
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            simd::l0RunLength(refs.data(), n, lo, false));
-}
-BENCHMARK(BM_SimdL0RunLength)
-    ->Args({64, 0})->Args({64, 1})
-    ->Args({1024, 0})->Args({1024, 1});
 
 void
 BM_MixTlbLookupHit(benchmark::State &state)
@@ -172,8 +92,6 @@ void
 BM_MachineAccess(benchmark::State &state)
 {
     auto design = static_cast<sim::TlbDesign>(state.range(0));
-    simd::ForceScalarGuard guard(state.range(1) != 0);
-    setKernelLabel(state);
     sim::MachineParams params;
     params.name = "bm";
     params.memBytes = 2 * GiB;
@@ -189,10 +107,8 @@ BM_MachineAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MachineAccess)
-    ->Args({static_cast<int>(sim::TlbDesign::Split), 0})
-    ->Args({static_cast<int>(sim::TlbDesign::Split), 1})
-    ->Args({static_cast<int>(sim::TlbDesign::Mix), 0})
-    ->Args({static_cast<int>(sim::TlbDesign::Mix), 1});
+    ->Arg(static_cast<int>(sim::TlbDesign::Split))
+    ->Arg(static_cast<int>(sim::TlbDesign::Mix));
 
 } // anonymous namespace
 

@@ -21,28 +21,28 @@ switchPolicyName(SwitchPolicy policy)
 MultiMachine::ProcStats::ProcStats(unsigned index,
                                    stats::StatGroup *parent)
     : group("p" + std::to_string(index), parent),
-      accesses(group.addScalar("accesses",
+      accesses(group.addCounter("accesses",
           "translated references attributed to this process")),
-      l1Hits(group.addScalar("l1_hits", "L1 TLB hits")),
-      l2Hits(group.addScalar("l2_hits", "L2 TLB hits")),
-      walks(group.addScalar("walks", "page table walks")),
-      walkCycles(group.addScalar("walk_cycles",
-                                 "cycles spent in walks")),
-      translationCycles(group.addScalar("translation_cycles",
+      l1Hits(group.addCounter("l1_hits", "L1 TLB hits")),
+      l2Hits(group.addCounter("l2_hits", "L2 TLB hits")),
+      walks(group.addCounter("walks", "page table walks")),
+      walkCycles(group.addCounter("walk_cycles",
+                                  "cycles spent in walks")),
+      translationCycles(group.addCounter("translation_cycles",
           "total address translation cycles")),
-      walkAccesses(group.addScalar("walk_accesses",
+      walkAccesses(group.addCounter("walk_accesses",
           "memory references issued by walks")),
-      walkDramAccesses(group.addScalar("walk_dram_accesses",
+      walkDramAccesses(group.addCounter("walk_dram_accesses",
           "walk references that reached DRAM")),
-      dirtyOps(group.addScalar("dirty_ops",
+      dirtyOps(group.addCounter("dirty_ops",
           "dirty-bit update micro-ops")),
-      l1WaysRead(group.addScalar("l1_ways_read",
+      l1WaysRead(group.addCounter("l1_ways_read",
           "L1 TLB ways read during this process's slices")),
-      l2WaysRead(group.addScalar("l2_ways_read",
+      l2WaysRead(group.addCounter("l2_ways_read",
           "L2 TLB ways read during this process's slices")),
-      l1Fills(group.addScalar("l1_fills", "L1 TLB fills")),
-      l2Fills(group.addScalar("l2_fills", "L2 TLB fills")),
-      slices(group.addScalar("slices", "scheduling slices executed"))
+      l1Fills(group.addCounter("l1_fills", "L1 TLB fills")),
+      l2Fills(group.addCounter("l2_fills", "L2 TLB fills")),
+      slices(group.addCounter("slices", "scheduling slices executed"))
 {
     group.addFormula("l1_miss_rate", "L1 TLB miss fraction", [this] {
         double total = accesses.value();
@@ -55,9 +55,9 @@ MultiMachine::MultiMachine(const MultiMachineParams &params)
                   seededCompaction(params.seed), params.caches,
                   params.design, true, true),
       params_(params), sched_("sched", &root_),
-      switches_(sched_.addScalar("context_switches",
+      switches_(sched_.addCounter("context_switches",
           "context switches performed")),
-      flushes_(sched_.addScalar("full_flushes",
+      flushes_(sched_.addCounter("full_flushes",
           "TLB+PWC full flushes forced by the switch policy"))
 {
     fatal_if(params.procs.empty(),
@@ -116,20 +116,23 @@ MultiMachine::~MultiMachine() = default;
 MultiMachine::Snapshot
 MultiMachine::takeSnapshot() const
 {
+    // The accessors widen the hierarchy's Counters to double; every
+    // count stays far below 2^53, so narrowing back is exact.
+    const auto n = [](double v) { return static_cast<std::uint64_t>(v); };
     Snapshot s;
-    s.accesses = hier_->accessCount();
-    s.l1Hits = hier_->l1HitCount();
-    s.l2Hits = hier_->l2HitCount();
-    s.walks = hier_->walkCount();
-    s.walkCycles = hier_->walkCycleCount();
-    s.translationCycles = hier_->translationCycleCount();
-    s.walkAccesses = hier_->walkAccessCount();
-    s.walkDramAccesses = hier_->walkDramAccessCount();
-    s.dirtyOps = hier_->dirtyMicroOpCount();
-    s.l1WaysRead = hier_->l1().waysReadCount();
-    s.l2WaysRead = hier_->l2().waysReadCount();
-    s.l1Fills = hier_->l1().fillCount();
-    s.l2Fills = hier_->l2().fillCount();
+    s.accesses = n(hier_->accessCount());
+    s.l1Hits = n(hier_->l1HitCount());
+    s.l2Hits = n(hier_->l2HitCount());
+    s.walks = n(hier_->walkCount());
+    s.walkCycles = n(hier_->walkCycleCount());
+    s.translationCycles = n(hier_->translationCycleCount());
+    s.walkAccesses = n(hier_->walkAccessCount());
+    s.walkDramAccesses = n(hier_->walkDramAccessCount());
+    s.dirtyOps = n(hier_->dirtyMicroOpCount());
+    s.l1WaysRead = n(hier_->l1().waysReadCount());
+    s.l2WaysRead = n(hier_->l2().waysReadCount());
+    s.l1Fills = n(hier_->l1().fillCount());
+    s.l2Fills = n(hier_->l2().fillCount());
     return s;
 }
 
@@ -245,7 +248,7 @@ MultiMachine::warmup(unsigned proc, VAddr base, std::uint64_t bytes,
 double
 MultiMachine::procStat(unsigned proc, const std::string &name) const
 {
-    return procStats_.at(proc)->group.scalar(name).value();
+    return procStats_.at(proc)->group.value(name);
 }
 
 double

@@ -12,6 +12,7 @@
 #ifndef MIXTLB_SIM_MULTI_MACHINE_HH
 #define MIXTLB_SIM_MULTI_MACHINE_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,8 +87,8 @@ class MultiMachine : public MachineCore
     /** Per-process L1 TLB miss fraction over the measured window. */
     double procL1MissRate(unsigned proc) const;
 
-    double contextSwitches() const { return switches_.value(); }
-    double fullFlushes() const { return flushes_.value(); }
+    double contextSwitches() const { return double(switches_.value()); }
+    double fullFlushes() const { return double(flushes_.value()); }
 
     tlb::TlbHierarchy &tlbs() { return hierarchy(0); }
 
@@ -95,33 +96,33 @@ class MultiMachine : public MachineCore
     /** Snapshot of the shared hierarchy's counters for attribution. */
     struct Snapshot
     {
-        double accesses = 0, l1Hits = 0, l2Hits = 0, walks = 0;
-        double walkCycles = 0, translationCycles = 0;
-        double walkAccesses = 0, walkDramAccesses = 0, dirtyOps = 0;
-        double l1WaysRead = 0, l2WaysRead = 0;
-        double l1Fills = 0, l2Fills = 0;
+        std::uint64_t accesses = 0, l1Hits = 0, l2Hits = 0, walks = 0;
+        std::uint64_t walkCycles = 0, translationCycles = 0;
+        std::uint64_t walkAccesses = 0, walkDramAccesses = 0, dirtyOps = 0;
+        std::uint64_t l1WaysRead = 0, l2WaysRead = 0;
+        std::uint64_t l1Fills = 0, l2Fills = 0;
     };
 
-    /** Per-process attribution scalars, group "p<index>". */
+    /** Per-process attribution counters, group "p<index>". */
     struct ProcStats
     {
         ProcStats(unsigned index, stats::StatGroup *parent);
 
         stats::StatGroup group;
-        stats::Scalar &accesses;
-        stats::Scalar &l1Hits;
-        stats::Scalar &l2Hits;
-        stats::Scalar &walks;
-        stats::Scalar &walkCycles;
-        stats::Scalar &translationCycles;
-        stats::Scalar &walkAccesses;
-        stats::Scalar &walkDramAccesses;
-        stats::Scalar &dirtyOps;
-        stats::Scalar &l1WaysRead;
-        stats::Scalar &l2WaysRead;
-        stats::Scalar &l1Fills;
-        stats::Scalar &l2Fills;
-        stats::Scalar &slices;
+        stats::Counter &accesses;
+        stats::Counter &l1Hits;
+        stats::Counter &l2Hits;
+        stats::Counter &walks;
+        stats::Counter &walkCycles;
+        stats::Counter &translationCycles;
+        stats::Counter &walkAccesses;
+        stats::Counter &walkDramAccesses;
+        stats::Counter &dirtyOps;
+        stats::Counter &l1WaysRead;
+        stats::Counter &l2WaysRead;
+        stats::Counter &l1Fills;
+        stats::Counter &l2Fills;
+        stats::Counter &slices;
     };
 
     Snapshot takeSnapshot() const;
@@ -142,8 +143,8 @@ class MultiMachine : public MachineCore
     std::vector<std::unique_ptr<ProcStats>> procStats_;
 
     stats::StatGroup sched_;
-    stats::Scalar &switches_;
-    stats::Scalar &flushes_;
+    stats::Counter &switches_;
+    stats::Counter &flushes_;
 
     unsigned current_ = 0;
     bool everSwitched_ = false;

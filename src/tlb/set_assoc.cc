@@ -169,7 +169,7 @@ FullyAssocTlb::lookup(VAddr vaddr, bool is_store)
         // One candidate tag per supported page size: a covering entry
         // of size s is based at pageBase(vaddr, s), so its tag must
         // equal that size's candidate.
-        std::uint64_t cands[NumPageSizes];
+        std::uint64_t cands[NumPageSizes] = {};
         unsigned ncands = 0;
         for (unsigned s = 0; s < NumPageSizes; ++s) {
             if (sizeMask_[s]) {

@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "common/random.hh"
@@ -533,112 +536,12 @@ INSTANTIATE_TEST_SUITE_P(Designs, L0FilterProperty,
                                            sim::TlbDesign::HashRehash,
                                            sim::TlbDesign::Skew));
 
-namespace
-{
-
 /**
- * Bit-exactness of the SIMD probe kernels (src/common/simd.hh,
- * DESIGN.md section 13). Three layers of differential coverage, all
- * against the pure-scalar reference kernels:
- *
- *   1. the raw kernels, on adversarial collision-heavy lanes of every
- *      ragged size 0..65 with random start offsets;
- *   2. TagLaneSet::findTag/findTagAny, where tag collisions force the
- *      continue-past-failed-confirm resumption mid-lane;
- *   3. whole op streams — every SoA design, the cache hierarchy, and
- *      full machine runs — asserting identical per-lookup results and
- *      byte-identical stat dumps with the kill switch on vs off.
+ * TagLaneSet::findTag/findTagAny against a plain tag-compare-then-
+ * confirm loop, on collision-heavy lanes where the scan must resume
+ * past failed confirms mid-lane.
  */
-TEST(SimdKernels, FirstEqualMatchesScalarOnAdversarialLanes)
-{
-    Rng rng(0x51D0);
-    for (int iter = 0; iter < 4000; ++iter) {
-        const std::size_t n = rng.nextBounded(66);
-        // A 4-value tag pool makes duplicates (and thus non-first
-        // matches the kernel must NOT return) the common case.
-        std::uint64_t pool[4];
-        for (auto &p : pool)
-            p = rng.next();
-        std::vector<std::uint64_t> lane(n);
-        for (auto &t : lane)
-            t = pool[rng.nextBounded(4)];
-        const std::uint64_t needle =
-            rng.chance(0.8) ? pool[rng.nextBounded(4)] : rng.next();
-        const std::size_t start = rng.nextBounded(n + 2);
-        const std::size_t want =
-            simd::firstEqualScalar(lane.data(), n, needle, start);
-        ASSERT_EQ(simd::firstEqual(lane.data(), n, needle, start), want)
-            << "n=" << n << " start=" << start;
-        simd::ForceScalarGuard guard;
-        ASSERT_EQ(simd::firstEqual(lane.data(), n, needle, start), want);
-    }
-}
-
-TEST(SimdKernels, FirstEqualAnyMatchesScalarOnAdversarialLanes)
-{
-    Rng rng(0x51D1);
-    for (int iter = 0; iter < 4000; ++iter) {
-        const std::size_t n = rng.nextBounded(66);
-        std::uint64_t pool[4];
-        for (auto &p : pool)
-            p = rng.next();
-        std::vector<std::uint64_t> lane(n);
-        for (auto &t : lane)
-            t = pool[rng.nextBounded(4)];
-        // 0..6 candidates: 0 (empty), 1..4 (hoisted vector paths), 5+
-        // (the vector kernel's own scalar fallback).
-        const unsigned ncands = static_cast<unsigned>(rng.nextBounded(7));
-        std::uint64_t cands[6];
-        for (unsigned c = 0; c < ncands; ++c)
-            cands[c] = rng.chance(0.6) ? pool[rng.nextBounded(4)]
-                                       : rng.next();
-        const std::size_t start = rng.nextBounded(n + 2);
-        const std::size_t want = simd::firstEqualAnyScalar(
-            lane.data(), n, cands, ncands, start);
-        ASSERT_EQ(
-            simd::firstEqualAny(lane.data(), n, cands, ncands, start),
-            want)
-            << "n=" << n << " ncands=" << ncands << " start=" << start;
-        simd::ForceScalarGuard guard;
-        ASSERT_EQ(
-            simd::firstEqualAny(lane.data(), n, cands, ncands, start),
-            want);
-    }
-}
-
-TEST(SimdKernels, L0RunLengthMatchesScalar)
-{
-    Rng rng(0x51D2);
-    for (int iter = 0; iter < 4000; ++iter) {
-        const std::size_t n = rng.nextBounded(66);
-        const VAddr lo = (rng.next() >> 12) << 12;
-        std::vector<MemRef> refs(n);
-        for (auto &ref : refs) {
-            if (rng.chance(0.8)) {
-                ref.vaddr = lo + rng.nextBounded(PageBytes4K);
-            } else if (rng.chance(0.5)) {
-                // Boundary adversaries: one byte out on either side.
-                ref.vaddr = rng.chance(0.5) ? lo - 1 : lo + PageBytes4K;
-            } else {
-                ref.vaddr = rng.next();
-            }
-            ref.type = rng.chance(0.3) ? AccessType::Write
-                                       : AccessType::Read;
-        }
-        for (bool stores_ok : {false, true}) {
-            const std::size_t want = simd::l0RunLengthScalar(
-                refs.data(), n, lo, stores_ok, 0);
-            ASSERT_EQ(simd::l0RunLength(refs.data(), n, lo, stores_ok),
-                      want)
-                << "n=" << n << " stores_ok=" << stores_ok;
-            simd::ForceScalarGuard guard;
-            ASSERT_EQ(simd::l0RunLength(refs.data(), n, lo, stores_ok),
-                      want);
-        }
-    }
-}
-
-TEST(SimdKernels, TagLaneResumesPastFailedConfirms)
+TEST(TagLaneSetProperty, ResumesPastFailedConfirms)
 {
     Rng rng(0x51D3);
     for (int iter = 0; iter < 1000; ++iter) {
@@ -676,192 +579,254 @@ TEST(SimdKernels, TagLaneResumesPastFailedConfirms)
             }
         }
         ASSERT_EQ(set.findTagAny(cands, 2, confirm), want_any);
-        simd::ForceScalarGuard guard;
-        ASSERT_EQ(set.findTag(needle, confirm), want);
-        ASSERT_EQ(set.findTagAny(cands, 2, confirm), want_any);
     }
 }
 
-/** One recorded lookup of the SIMD-vs-scalar design op streams. */
-struct LookupRec
+/**
+ * The probe scans in src/common/simd.hh against the standard
+ * algorithms they stand in for, on collision-heavy lanes of every
+ * ragged size 0..65 with random start offsets (including past the end).
+ */
+TEST(SimdKernels, FirstEqualMatchesScalarOnAdversarialLanes)
 {
-    bool hit;
-    std::uint64_t probes;
-    std::uint64_t waysRead;
-    bool dirty;
-    VAddr vbase;
-    PAddr pbase;
-    unsigned size;
+    Rng rng(0x51D0);
+    for (int iter = 0; iter < 4000; ++iter) {
+        const std::size_t n = rng.nextBounded(66);
+        // A 4-value tag pool makes duplicates (and thus non-first
+        // matches the scan must NOT return) the common case.
+        std::uint64_t pool[4];
+        for (auto &p : pool)
+            p = rng.next();
+        std::vector<std::uint64_t> lane(n);
+        for (auto &t : lane)
+            t = pool[rng.nextBounded(4)];
+        const std::uint64_t needle =
+            rng.chance(0.8) ? pool[rng.nextBounded(4)] : rng.next();
+        const std::size_t start = rng.nextBounded(n + 2);
+        std::size_t want = simd::npos;
+        if (start < n) {
+            auto it = std::find(lane.begin() + start, lane.end(), needle);
+            if (it != lane.end())
+                want = static_cast<std::size_t>(it - lane.begin());
+        }
+        ASSERT_EQ(simd::firstEqual(lane.data(), n, needle, start), want)
+            << "n=" << n << " start=" << start;
+    }
+}
+
+TEST(SimdKernels, FirstEqualAnyMatchesScalarOnAdversarialLanes)
+{
+    Rng rng(0x51D1);
+    for (int iter = 0; iter < 4000; ++iter) {
+        const std::size_t n = rng.nextBounded(66);
+        std::uint64_t pool[4];
+        for (auto &p : pool)
+            p = rng.next();
+        std::vector<std::uint64_t> lane(n);
+        for (auto &t : lane)
+            t = pool[rng.nextBounded(4)];
+        // 0..6 candidates: 0 (empty), 1..3 (the hoisted cases), 4+
+        // (the generic nested loop).
+        const unsigned ncands = static_cast<unsigned>(rng.nextBounded(7));
+        std::uint64_t cands[6];
+        for (unsigned c = 0; c < ncands; ++c)
+            cands[c] = rng.chance(0.6) ? pool[rng.nextBounded(4)]
+                                       : rng.next();
+        const std::size_t start = rng.nextBounded(n + 2);
+        std::size_t want = simd::npos;
+        if (start < n) {
+            auto it = std::find_first_of(lane.begin() + start, lane.end(),
+                                         cands, cands + ncands);
+            if (it != lane.end())
+                want = static_cast<std::size_t>(it - lane.begin());
+        }
+        ASSERT_EQ(
+            simd::firstEqualAny(lane.data(), n, cands, ncands, start),
+            want)
+            << "n=" << n << " ncands=" << ncands << " start=" << start;
+    }
+}
+
+TEST(SimdKernels, L0RunLengthMatchesScalar)
+{
+    Rng rng(0x51D2);
+    for (int iter = 0; iter < 4000; ++iter) {
+        const std::size_t n = rng.nextBounded(66);
+        const VAddr lo = (rng.next() >> 12) << 12;
+        std::vector<MemRef> refs(n);
+        for (auto &ref : refs) {
+            if (rng.chance(0.8)) {
+                ref.vaddr = lo + rng.nextBounded(PageBytes4K);
+            } else if (rng.chance(0.5)) {
+                // Boundary adversaries: one byte out on either side.
+                ref.vaddr = rng.chance(0.5) ? lo - 1 : lo + PageBytes4K;
+            } else {
+                ref.vaddr = rng.next();
+            }
+            ref.type = rng.chance(0.3) ? AccessType::Write
+                                       : AccessType::Read;
+        }
+        for (bool stores_ok : {false, true}) {
+            auto it = std::find_if(
+                refs.begin(), refs.end(), [&](const MemRef &ref) {
+                    const bool in_page =
+                        ref.vaddr >= lo && ref.vaddr < lo + PageBytes4K;
+                    return !in_page ||
+                           (!stores_ok && ref.type != AccessType::Read);
+                });
+            const auto want = static_cast<std::size_t>(it - refs.begin());
+            ASSERT_EQ(simd::l0RunLength(refs.data(), n, lo, stores_ok),
+                      want)
+                << "n=" << n << " stores_ok=" << stores_ok;
+        }
+    }
+}
+
+/**
+ * The reference scan is the oracle SoaTagLanesMatchReferenceScan holds
+ * the packed tag lanes to; it must itself agree with the page table.
+ */
+TEST_P(FamilyProperty, ReferenceScanHitsAgreeWithPageTable)
+{
+    ReferenceScanGuard guard;
+    setReferenceScanEnabled(true);
+    Arena arena(44);
+    auto tlb = build(GetParam(), &arena.root);
+    fuzzAgainstPageTable(*tlb, arena, 23);
+}
+
+TEST_P(MixProperty, ReferenceScanHitsAgreeWithPageTable)
+{
+    ReferenceScanGuard guard;
+    setReferenceScanEnabled(true);
+    const auto &geometry = GetParam();
+    Arena arena(42);
+    MixTlbParams params;
+    params.entries = geometry.entries;
+    params.assoc = geometry.assoc;
+    params.mode = geometry.mode;
+    params.colt4k = geometry.colt4k;
+    params.alignmentRestricted = geometry.alignment;
+    MixTlb tlb("mix", &arena.root, params);
+    fuzzAgainstPageTable(tlb, arena, 29);
+}
+
+namespace
+{
+
+/** One cache level as a per-set std::list in LRU order (front = MRU). */
+class ListLruCache
+{
+  public:
+    explicit ListLruCache(const cache::CacheParams &params)
+        : assoc_(params.assoc),
+          sets_(params.sizeBytes / params.lineBytes / params.assoc),
+          lru_(sets_)
+    {
+    }
 
     bool
-    operator==(const LookupRec &other) const = default;
+    access(std::uint64_t line)
+    {
+        auto &set = lru_[line % sets_];
+        auto it = std::find(set.begin(), set.end(), line);
+        if (it != set.end()) {
+            set.splice(set.begin(), set, it);
+            return true;
+        }
+        set.push_front(line);
+        if (set.size() > assoc_)
+            set.pop_back();
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (auto &set : lru_)
+            set.clear();
+    }
+
+    std::uint64_t sets() const { return sets_; }
+
+  private:
+    std::size_t assoc_;
+    std::uint64_t sets_;
+    std::vector<std::list<std::uint64_t>> lru_;
 };
 
-/**
- * Drive one design through the compareScanModes op mix (ASID mixes,
- * stores, invalidations, fills) with the SIMD kill switch held in one
- * position, recording every lookup and the final stat dump.
- */
-template <typename Build>
-std::pair<std::vector<LookupRec>, std::string>
-runSimdOpStream(Build &&build, bool force_scalar, std::uint64_t seed)
-{
-    simd::ForceScalarGuard guard(force_scalar);
-    Arena arena(seed);
-    auto tlb = build(&arena.root);
-    Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
-    const Asid asids[] = {0, 1, 2};
-    std::vector<LookupRec> recs;
-    recs.reserve(20000);
-    const auto record = [&](const TlbLookup &result) {
-        LookupRec rec{};
-        rec.hit = result.hit;
-        rec.probes = result.probes;
-        rec.waysRead = result.waysRead;
-        rec.dirty = result.entryDirty;
-        if (result.hit) {
-            rec.vbase = result.xlate.vbase;
-            rec.pbase = result.xlate.pbase;
-            rec.size = static_cast<unsigned>(result.xlate.size);
-        }
-        recs.push_back(rec);
-    };
-    for (int i = 0; i < 20000; i++) {
-        if (rng.chance(0.001))
-            tlb->setAsid(asids[rng.nextBounded(3)]);
-        VAddr va = arena.randomAddr(rng);
-        bool store = rng.chance(0.3);
-        auto result = tlb->lookup(va, store);
-        record(result);
-        auto truth = arena.table.translate(va);
-        if (!truth.has_value())
-            ADD_FAILURE() << "unmapped arena address";
-        if (!result.hit && truth && tlb->supports(truth->size)) {
-            auto walk = arena.walker.walk(va, store);
-            if (walk.pageFault()) {
-                ADD_FAILURE() << "arena walk faulted";
-            } else {
-                FillInfo fill;
-                fill.leaf = *walk.leaf;
-                fill.vaddr = va;
-                fill.walk = &walk;
-                tlb->fill(fill);
-            }
-        }
-        if (rng.chance(0.05))
-            tlb->markDirty(va);
-        if (rng.chance(0.004)) {
-            VAddr page = arena.pages[rng.nextBounded(arena.pages.size())];
-            auto size = arena.table.translate(page)->size;
-            tlb->invalidate(page, size);
-        }
-        if (rng.chance(0.001))
-            tlb->invalidateAsid(asids[rng.nextBounded(3)]);
-    }
-    tlb->setAsid(0);
-    for (VAddr page : arena.pages) {
-        auto size = arena.table.translate(page)->size;
-        for (VAddr off : {VAddr(0), VAddr(0x40),
-                          VAddr(pageBytes(size) - 1)})
-            record(tlb->lookup(page + off, false));
-    }
-    return {std::move(recs), statDump(arena.root)};
-}
-
-template <typename Build>
-void
-compareSimdScan(Build &&build, std::uint64_t seed)
-{
-    auto wide = runSimdOpStream(build, false, seed);
-    auto scalar = runSimdOpStream(build, true, seed);
-    ASSERT_EQ(wide.first.size(), scalar.first.size());
-    for (std::size_t i = 0; i < wide.first.size(); ++i) {
-        ASSERT_TRUE(wide.first[i] == scalar.first[i])
-            << "lookup #" << i << " diverges between SIMD and "
-            << "forced-scalar kernels";
-    }
-    EXPECT_EQ(wide.second, scalar.second);
-}
-
 } // anonymous namespace
 
-TEST_P(FamilyProperty, SimdProbesMatchForcedScalar)
+/**
+ * The flat tag-window cache against a list-per-set LRU model, level by
+ * level. Part of the stream is confined to a few LLC sets so every
+ * level — including the 24 MiB LLC's non-power-of-two set count —
+ * evicts, not just the L1.
+ */
+TEST(CacheProperty, HierarchyMatchesListLruReference)
 {
-    const Family family = GetParam();
-    compareSimdScan(
-        [&](stats::StatGroup *root) {
-            return FamilyProperty::build(family, root);
-        },
-        23);
-}
-
-TEST_P(MixProperty, SimdProbesMatchForcedScalar)
-{
-    const auto &geometry = GetParam();
-    compareSimdScan(
-        [&](stats::StatGroup *root) {
-            MixTlbParams params;
-            params.entries = geometry.entries;
-            params.assoc = geometry.assoc;
-            params.mode = geometry.mode;
-            params.colt4k = geometry.colt4k;
-            params.alignmentRestricted = geometry.alignment;
-            return std::make_unique<MixTlb>("mix", root, params);
-        },
-        29);
-}
-
-namespace
-{
-
-/** Cache probes: same paddr stream, SIMD vs forced scalar. */
-std::pair<std::vector<std::uint64_t>, std::string>
-runCacheStream(bool force_scalar, std::uint64_t seed)
-{
-    simd::ForceScalarGuard guard(force_scalar);
+    const cache::HierarchyParams params;
     stats::StatGroup root("cacheprop");
-    cache::CacheHierarchy caches(cache::HierarchyParams{}, &root);
-    Rng rng(seed);
-    std::vector<std::uint64_t> cycles;
-    cycles.reserve(50000);
+    cache::CacheHierarchy caches(params, &root);
+    ListLruCache l1(params.l1), l2(params.l2), llc(params.llc);
+    const auto refLevel = [&](std::uint64_t line) {
+        if (l1.access(line))
+            return cache::HitLevel::L1;
+        if (l2.access(line))
+            return cache::HitLevel::L2;
+        if (llc.access(line))
+            return cache::HitLevel::LLC;
+        return cache::HitLevel::Memory;
+    };
+    Rng rng(0x51D4);
+    std::uint64_t served[4] = {};
     for (int i = 0; i < 50000; ++i) {
-        // A small line pool keeps all three levels' sets mixing hits,
-        // misses, and MRU churn.
-        const PAddr paddr = (rng.nextBounded(1 << 14) << 6) +
+        std::uint64_t line;
+        if (rng.chance(0.7)) {
+            line = rng.nextBounded(1 << 12);
+        } else {
+            // 4 LLC sets x 40 candidate lines: more than 16 ways each.
+            line = rng.nextBounded(4) + rng.nextBounded(40) * llc.sets();
+        }
+        const PAddr paddr = line * CacheLineBytes +
                             rng.nextBounded(CacheLineBytes);
-        cycles.push_back(caches.access(paddr, rng.chance(0.3)));
-        if (rng.chance(0.0005))
+        const cache::HitLevel want = refLevel(line);
+        ++served[static_cast<unsigned>(want)];
+        ASSERT_EQ(caches.accessLevel(paddr, rng.chance(0.3)), want)
+            << "access #" << i << " line=" << line;
+        if (rng.chance(0.0005)) {
             caches.flush();
+            l1.flush();
+            l2.flush();
+            llc.flush();
+        }
     }
-    return {std::move(cycles), statDump(root)};
-}
-
-} // anonymous namespace
-
-TEST(SimdKernels, CacheProbesMatchForcedScalar)
-{
-    auto wide = runCacheStream(false, 0x51D4);
-    auto scalar = runCacheStream(true, 0x51D4);
-    ASSERT_EQ(wide.first, scalar.first);
-    EXPECT_EQ(wide.second, scalar.second);
+    // Each level's hit count, and the accesses that reached memory.
+    EXPECT_EQ(root.value("caches.l1d.hits"), served[0]);
+    EXPECT_EQ(root.value("caches.l2.hits"), served[1]);
+    EXPECT_EQ(root.value("caches.llc.hits"), served[2]);
+    EXPECT_EQ(root.value("caches.mem_accesses"), served[3]);
+    EXPECT_GT(served[2], 0u);
+    EXPECT_GT(served[3], 0u);
 }
 
 namespace
 {
 
 /**
- * End-to-end: full machine runs (L0 run-scan, tag lanes, and cache tag
- * windows all live) must dump identical stats with the kernels forced
- * scalar.
+ * End-to-end: full machine runs (L0 replay, tag lanes, walker and
+ * cache charging all live) must dump identical stats whether every TLB
+ * was built on the reference scan or on the packed tag lanes.
  */
-class SimdMachineProperty
+class ScanModeMachineProperty
     : public ::testing::TestWithParam<sim::TlbDesign>
 {
   public:
     static std::string
-    runOnce(sim::TlbDesign design, bool force_scalar)
+    runOnce(sim::TlbDesign design, bool reference_scan)
     {
-        simd::ForceScalarGuard guard(force_scalar);
+        ReferenceScanGuard guard;
+        setReferenceScanEnabled(reference_scan);
         sim::MachineParams params;
         params.name = "m";
         params.memBytes = 512 * MiB;
@@ -882,13 +847,13 @@ class SimdMachineProperty
 
 } // anonymous namespace
 
-TEST_P(SimdMachineProperty, SimdOnOffStatsIdentical)
+TEST_P(ScanModeMachineProperty, ReferenceScanStatsIdentical)
 {
     const sim::TlbDesign design = GetParam();
     EXPECT_EQ(runOnce(design, false), runOnce(design, true));
 }
 
-INSTANTIATE_TEST_SUITE_P(Designs, SimdMachineProperty,
+INSTANTIATE_TEST_SUITE_P(Designs, ScanModeMachineProperty,
                          ::testing::Values(sim::TlbDesign::Split,
                                            sim::TlbDesign::Mix,
                                            sim::TlbDesign::MixColt,

@@ -1,19 +1,18 @@
 """simd checker.
 
-SIMD intrinsics are confined to src/common/simd.hh: that header owns
-the portable dispatch (AVX2/SSE2/NEON/scalar), the MIXTLB_FORCE_SCALAR
-kill switch, and the exactness argument (DESIGN.md section 13). A raw
-`_mm256_cmpeq_epi64` sprinkled into a design file silently bypasses
-all three — it cannot be forced scalar, it breaks non-x86 builds, and
-its first-index semantics are unreviewed. Flag intrinsic includes and
-raw intrinsic calls everywhere else; `// mixcheck: allow(simd)` with a
-written reason is the escape hatch.
+The probe scans in src/common/simd.hh are plain loops: the explicit
+AVX2/SSE2/NEON kernels were measured, bought nothing on the gated
+host-throughput workloads, and were removed (DESIGN.md section 13). A
+raw `_mm256_cmpeq_epi64` anywhere in the tree would bring back an
+unmeasured fast path that breaks non-x86 builds and whose first-index
+semantics are unreviewed. Flag intrinsic includes and raw intrinsic
+calls in every scanned file; `// mixcheck: allow(simd)` with a written
+reason is the escape hatch.
 """
 
 import re
 
 RULE = "simd"
-EXEMPT = "src/common/simd.hh"
 
 # Vendor intrinsic headers (x86 per-ISA headers and the umbrella ones,
 # plus ARM NEON/SVE). <intrin.h> of MSVC is intentionally included.
@@ -34,22 +33,20 @@ INTRINSIC_RE = re.compile(
 
 
 def check(source):
-    """SIMD intrinsics outside the sanctioned kernel header."""
-    if source.rel == EXEMPT:
-        return []
+    """SIMD intrinsics anywhere in the tree."""
     out = []
     for lineno, line in enumerate(source.stripped_lines, 1):
         match = INCLUDE_RE.search(line)
         if match:
             out.append(source.finding(
                 lineno, RULE,
-                f"intrinsic header <{match.group(1)}> outside "
-                f"{EXEMPT}; use the simd:: probe kernels"))
+                f"intrinsic header <{match.group(1)}>; use the "
+                "simd:: probe scans"))
             continue
         match = INTRINSIC_RE.search(line)
         if match:
             out.append(source.finding(
                 lineno, RULE,
-                f"raw intrinsic {match.group(1)}() outside {EXEMPT}; "
-                "use the simd:: probe kernels"))
+                f"raw intrinsic {match.group(1)}(); use the simd:: "
+                "probe scans"))
     return out
