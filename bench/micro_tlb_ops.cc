@@ -1,14 +1,22 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulator's hot operations:
- * TLB lookups/fills for each design and full MMU accesses. These guard
- * the simulator's own performance (host ns/op), not the modelled
- * cycles.
+ * TLB lookups/fills for each design, full MMU accesses, and the OS
+ * model's physical-memory work (memhog fragmentation, buddy frees).
+ * These guard the simulator's own performance (host ns/op), not the
+ * modelled cycles.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
+#include "mem/buddy_allocator.hh"
 #include "mem/phys_mem.hh"
+#include "os/memhog.hh"
+#include "os/memory_manager.hh"
 #include "pt/page_table.hh"
 #include "pt/walker.hh"
 #include "sim/configs.hh"
@@ -109,6 +117,62 @@ BM_MachineAccess(benchmark::State &state)
 BENCHMARK(BM_MachineAccess)
     ->Arg(static_cast<int>(sim::TlbDesign::Split))
     ->Arg(static_cast<int>(sim::TlbDesign::Mix));
+
+/**
+ * Memhog fragmenting 60% of a 2 GiB machine, as the gups-walk
+ * perfbench workload does at setup: buddy allocation down to single
+ * frames, a shuffle, frees with merging, and movable registration.
+ */
+void
+BM_MemhogFragment(benchmark::State &state)
+{
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto mem = std::make_unique<mem::PhysMem>(2 * GiB);
+        stats::StatGroup root("bm");
+        auto mm = std::make_unique<os::MemoryManager>(*mem, &root);
+        auto hog = std::make_unique<os::Memhog>(*mm, 0.2);
+        state.ResumeTiming();
+        hog->fragment(0.6, 1);
+        benchmark::DoNotOptimize(hog->movableFrames());
+        state.PauseTiming();
+        hog.reset();
+        mm.reset();
+        mem.reset();
+        state.ResumeTiming();
+    }
+}
+BENCHMARK(BM_MemhogFragment)->Unit(benchmark::kMillisecond);
+
+/**
+ * Freeing every frame of a fully allocated 1 GiB buddy allocator one
+ * 4KB frame at a time, in shuffled order, so each free probes its
+ * buddies and merges whole runs back up to a 1GB block.
+ */
+void
+BM_BuddyFreeMerge(benchmark::State &state)
+{
+    constexpr std::uint64_t Frames = GiB >> PageShift4K;
+    mem::BuddyAllocator buddy(Frames);
+    std::vector<Pfn> frames;
+    frames.reserve(Frames);
+    while (auto pfn = buddy.alloc(0))
+        frames.push_back(*pfn);
+    Rng rng(7);
+    for (std::uint64_t i = frames.size(); i > 1; i--)
+        std::swap(frames[i - 1], frames[rng.nextBounded(i)]);
+    for (auto _ : state) {
+        for (Pfn pfn : frames)
+            buddy.free(pfn, 0);
+        benchmark::DoNotOptimize(buddy.largestFreeOrder());
+        state.PauseTiming();
+        while (buddy.alloc(0)) {}
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<std::int64_t>(Frames));
+}
+BENCHMARK(BM_BuddyFreeMerge)->Unit(benchmark::kMillisecond);
 
 } // anonymous namespace
 

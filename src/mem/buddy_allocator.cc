@@ -1,8 +1,6 @@
 #include "buddy_allocator.hh"
 
-#include <algorithm>
-#include <utility>
-#include <vector>
+#include <bit>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
@@ -10,11 +8,32 @@
 namespace mixtlb::mem
 {
 
+namespace
+{
+
+/** Bit of block @p idx within its bitmap word. */
+constexpr std::uint64_t
+bitOf(std::uint64_t idx)
+{
+    return 1ULL << (idx & 63);
+}
+
+/** Even-position bits: the low half of every buddy pair in a word. */
+constexpr std::uint64_t LowHalves = 0x5555555555555555ULL;
+
+} // namespace
+
 BuddyAllocator::BuddyAllocator(std::uint64_t total_frames)
     : totalFrames_(total_frames), freeFrames_(total_frames),
-      freeLists_(MaxOrder + 1)
+      free_(MaxOrder + 1)
 {
     panic_if(total_frames == 0, "empty physical memory");
+    for (unsigned o = 0; o <= MaxOrder; o++) {
+        FreeMap &map = free_[o];
+        map.blocks = shiftRight(total_frames, o);
+        map.words.assign(divCeil(map.blocks, 64), 0);
+        map.cursor = map.words.size();
+    }
     // Seed the free lists with maximal naturally aligned blocks, as a
     // real buddy system would after boot.
     Pfn pfn = 0;
@@ -26,10 +45,59 @@ BuddyAllocator::BuddyAllocator(std::uint64_t total_frames)
                 pow2(order) > remaining)) {
             order--;
         }
-        freeLists_[order].insert(pfn);
+        markFree(pfn, order);
         pfn += pow2(order);
         remaining -= pow2(order);
     }
+}
+
+bool
+BuddyAllocator::isFree(Pfn pfn, unsigned order) const
+{
+    const FreeMap &map = free_[order];
+    const std::uint64_t idx = shiftRight(pfn, order);
+    return idx < map.blocks && (map.words[idx >> 6] & bitOf(idx)) != 0;
+}
+
+void
+BuddyAllocator::markFree(Pfn pfn, unsigned order)
+{
+    FreeMap &map = free_[order];
+    const std::uint64_t idx = shiftRight(pfn, order);
+    const std::uint64_t word = idx >> 6;
+    map.words[word] |= bitOf(idx);
+    map.count++;
+    if (word < map.cursor)
+        map.cursor = word;
+}
+
+void
+BuddyAllocator::markUsed(Pfn pfn, unsigned order)
+{
+    FreeMap &map = free_[order];
+    const std::uint64_t idx = shiftRight(pfn, order);
+    const std::uint64_t word = idx >> 6;
+    map.words[word] &= ~bitOf(idx);
+    map.count--;
+    if (map.count == 0) {
+        map.cursor = map.words.size();
+        return;
+    }
+    // Keep the cursor on the lowest nonzero word: only clearing that
+    // word's last bit moves it, and then forward to the next live word.
+    if (word == map.cursor) {
+        while (map.cursor < map.words.size() && map.words[map.cursor] == 0)
+            map.cursor++;
+    }
+}
+
+Pfn
+BuddyAllocator::lowestFree(unsigned order) const
+{
+    const FreeMap &map = free_[order];
+    const auto bit = static_cast<unsigned>(
+        std::countr_zero(map.words[map.cursor]));
+    return shiftLeft(map.cursor * 64 + bit, order);
 }
 
 std::optional<Pfn>
@@ -40,14 +108,14 @@ BuddyAllocator::alloc(unsigned order)
     // Find the lowest-address block among all orders >= requested that
     // could satisfy this request; preferring the lowest *address* (not
     // the smallest sufficient order) is what generates physically
-    // contiguous consecutive allocations.
+    // contiguous consecutive allocations. Ties go to the smaller order.
     unsigned best_order = 0;
     Pfn best_pfn = 0;
     bool found = false;
     for (unsigned o = order; o <= MaxOrder; o++) {
-        if (freeLists_[o].empty())
+        if (free_[o].count == 0)
             continue;
-        Pfn candidate = *freeLists_[o].begin();
+        Pfn candidate = lowestFree(o);
         if (!found || candidate < best_pfn) {
             found = true;
             best_pfn = candidate;
@@ -57,13 +125,11 @@ BuddyAllocator::alloc(unsigned order)
     if (!found)
         return std::nullopt;
 
-    freeLists_[best_order].erase(best_pfn);
+    markUsed(best_pfn, best_order);
     // Split down, keeping the low half each time and freeing the high
     // half, so the returned block sits at the lowest address.
-    for (unsigned o = best_order; o > order; o--) {
-        Pfn high = best_pfn + pow2(o - 1);
-        freeLists_[o - 1].insert(high);
-    }
+    for (unsigned o = best_order; o > order; o--)
+        markFree(best_pfn + pow2(o - 1), o - 1);
     freeFrames_ -= pow2(order);
     return best_pfn;
 }
@@ -74,51 +140,24 @@ BuddyAllocator::allocRegion(Pfn pfn, unsigned order)
     panic_if(order > MaxOrder, "allocRegion order %u too large", order);
     panic_if((pfn & (pow2(order) - 1)) != 0,
              "allocRegion misaligned pfn");
-    if (!isRegionFree(pfn, order))
+
+    const auto covering = coveringOrder(pfn, order);
+    if (!covering)
         return false;
 
-    // Carve the region out of whichever free blocks cover it. Because
-    // blocks are naturally aligned, a covering block either contains the
-    // whole region or is contained by it.
-    std::uint64_t want_lo = pfn;
-    std::uint64_t want_hi = pfn + pow2(order);
-    for (unsigned o = 0; o <= MaxOrder; o++) {
-        auto &list = freeLists_[o];
-        auto it = list.lower_bound(
-            want_lo >= pow2(o) ? want_lo - pow2(o) + 1 : 0);
-        while (it != list.end() && *it < want_hi) {
-            Pfn blk = *it;
-            std::uint64_t blk_hi = blk + pow2(o);
-            if (blk_hi <= want_lo) {
-                ++it;
-                continue;
-            }
-            it = list.erase(it);
-            if (blk >= want_lo && blk_hi <= want_hi) {
-                // fully consumed
-                continue;
-            }
-            // The block contains the region: split off the parts outside.
-            // Keep splitting the covering block; re-add children outside
-            // the wanted range.
-            unsigned co = o;
-            Pfn cur = blk;
-            while (co > order) {
-                co--;
-                Pfn low = cur;
-                Pfn high = cur + pow2(co);
-                if (want_lo >= high) {
-                    freeLists_[co].insert(low);
-                    cur = high;
-                } else {
-                    freeLists_[co].insert(high);
-                    cur = low;
-                }
-                // Re-fetch iterator invalidation safety: we only touch
-                // freeLists_[co] with co < o here and `it` points into
-                // freeLists_[o], which erase() already advanced.
-            }
-            break;
+    // Split the covering block down to the region, re-freeing the half
+    // that does not contain it at each step.
+    unsigned o = *covering;
+    Pfn cur = alignDown(pfn, pow2(o));
+    markUsed(cur, o);
+    while (o > order) {
+        o--;
+        const Pfn high = cur + pow2(o);
+        if (pfn >= high) {
+            markFree(cur, o);
+            cur = high;
+        } else {
+            markFree(high, o);
         }
     }
     freeFrames_ -= pow2(order);
@@ -130,6 +169,9 @@ BuddyAllocator::free(Pfn pfn, unsigned order)
 {
     panic_if(order > MaxOrder, "free order %u too large", order);
     panic_if((pfn & (pow2(order) - 1)) != 0, "free misaligned pfn");
+    panic_if(pfn + pow2(order) > totalFrames_,
+             "free of pfn 0x%llx past the managed frames",
+             (unsigned long long)pfn);
     insertAndMerge(pfn, order);
     freeFrames_ += pow2(order);
 }
@@ -139,46 +181,44 @@ BuddyAllocator::insertAndMerge(Pfn pfn, unsigned order)
 {
     while (order < MaxOrder) {
         Pfn buddy = pfn ^ pow2(order);
-        auto it = freeLists_[order].find(buddy);
-        if (it == freeLists_[order].end())
+        if (!isFree(buddy, order))
             break;
-        freeLists_[order].erase(it);
+        markUsed(buddy, order);
         pfn = pfn & buddy; // the lower of the two
         order++;
     }
-    auto [it, inserted] = freeLists_[order].insert(pfn);
-    panic_if(!inserted, "double free of pfn 0x%llx",
+    panic_if(isFree(pfn, order), "double free of pfn 0x%llx",
              (unsigned long long)pfn);
+    markFree(pfn, order);
 }
 
 bool
 BuddyAllocator::isRegionFree(Pfn pfn, unsigned order) const
 {
-    std::uint64_t want_lo = pfn;
-    std::uint64_t want_hi = pfn + pow2(order);
-    std::uint64_t covered = 0;
-    for (unsigned o = 0; o <= MaxOrder; o++) {
-        const auto &list = freeLists_[o];
-        auto it = list.lower_bound(
-            want_lo >= pow2(o) ? want_lo - pow2(o) + 1 : 0);
-        for (; it != list.end() && *it < want_hi; ++it) {
-            std::uint64_t blk_lo = *it;
-            std::uint64_t blk_hi = blk_lo + pow2(o);
-            if (blk_hi <= want_lo)
-                continue;
-            std::uint64_t lo = blk_lo > want_lo ? blk_lo : want_lo;
-            std::uint64_t hi = blk_hi < want_hi ? blk_hi : want_hi;
-            covered += hi - lo;
-        }
+    panic_if(order > MaxOrder, "isRegionFree order %u too large", order);
+    panic_if((pfn & (pow2(order) - 1)) != 0,
+             "isRegionFree misaligned pfn");
+    return coveringOrder(pfn, order).has_value();
+}
+
+std::optional<unsigned>
+BuddyAllocator::coveringOrder(Pfn pfn, unsigned order) const
+{
+    // Buddies merge eagerly, so a wholly free aligned region always
+    // lies inside one free block of its own or a larger order: the one
+    // aligned block per order that contains it.
+    for (unsigned o = order; o <= MaxOrder; o++) {
+        if (isFree(alignDown(pfn, pow2(o)), o))
+            return o;
     }
-    return covered == want_hi - want_lo;
+    return std::nullopt;
 }
 
 std::optional<unsigned>
 BuddyAllocator::largestFreeOrder() const
 {
     for (unsigned o = MaxOrder + 1; o-- > 0;) {
-        if (!freeLists_[o].empty())
+        if (free_[o].count > 0)
             return o;
     }
     return std::nullopt;
@@ -188,7 +228,7 @@ std::uint64_t
 BuddyAllocator::freeBlocksAt(unsigned order) const
 {
     panic_if(order > MaxOrder, "order %u too large", order);
-    return freeLists_[order].size();
+    return free_[order].count;
 }
 
 void
@@ -196,42 +236,78 @@ BuddyAllocator::forEachFreeBlock(
     const std::function<void(Pfn, unsigned)> &fn) const
 {
     for (unsigned o = 0; o <= MaxOrder; o++) {
-        for (Pfn pfn : freeLists_[o])
-            fn(pfn, o);
+        const auto &words = free_[o].words;
+        for (std::uint64_t w = 0; w < words.size(); w++) {
+            for (std::uint64_t bits = words[w]; bits != 0;
+                 bits &= bits - 1) {
+                const auto bit =
+                    static_cast<unsigned>(std::countr_zero(bits));
+                fn(shiftLeft(w * 64 + bit, o), o);
+            }
+        }
     }
 }
 
 void
 BuddyAllocator::audit(contracts::AuditReport &report) const
 {
-    // Flatten the per-order lists into [lo, hi) frame intervals.
-    std::vector<std::pair<Pfn, std::uint64_t>> blocks; // (pfn, frames)
     std::uint64_t free_sum = 0;
     for (unsigned o = 0; o <= MaxOrder; o++) {
-        const std::uint64_t frames = pow2(o);
-        for (Pfn pfn : freeLists_[o]) {
-            MIX_AUDIT_CHECK(report, (pfn & (frames - 1)) == 0,
-                            "order-%u free block at pfn 0x%llx is not "
-                            "naturally aligned",
-                            o, (unsigned long long)pfn);
-            MIX_AUDIT_CHECK(report, pfn + frames <= totalFrames_,
-                            "order-%u free block at pfn 0x%llx runs "
-                            "past the %llu managed frames",
-                            o, (unsigned long long)pfn,
-                            (unsigned long long)totalFrames_);
-            if (o < MaxOrder &&
-                freeLists_[o].count(pfn ^ frames) > 0) {
-                // Report each unmerged pair once (from its low half).
-                MIX_AUDIT_CHECK(report, (pfn & frames) != 0,
+        const FreeMap &map = free_[o];
+        std::uint64_t count = 0;
+        std::uint64_t lowest = map.words.size();
+        for (std::uint64_t w = 0; w < map.words.size(); w++) {
+            const std::uint64_t word = map.words[w];
+            if (word == 0)
+                continue;
+            if (lowest == map.words.size())
+                lowest = w;
+            count += static_cast<std::uint64_t>(std::popcount(word));
+            // A set pair (2i, 2i+1) is two free buddies left unmerged;
+            // report it once, from its low half.
+            const std::uint64_t pairs =
+                o < MaxOrder ? word & (word >> 1) & LowHalves : 0;
+            if (pairs != 0) {
+                const std::uint64_t idx =
+                    w * 64 + static_cast<unsigned>(std::countr_zero(pairs));
+                MIX_AUDIT_CHECK(report, false,
                                 "order-%u buddies 0x%llx/0x%llx both "
                                 "free but unmerged",
-                                o, (unsigned long long)pfn,
-                                (unsigned long long)(pfn ^ frames));
+                                o, (unsigned long long)shiftLeft(idx, o),
+                                (unsigned long long)shiftLeft(idx + 1, o));
             }
-            blocks.emplace_back(pfn, frames);
-            free_sum += frames;
         }
+        MIX_AUDIT_CHECK(report, count == map.count,
+                        "order-%u free lists hold %llu blocks but the "
+                        "count says %llu",
+                        o, (unsigned long long)count,
+                        (unsigned long long)map.count);
+        MIX_AUDIT_CHECK(report, lowest == map.cursor,
+                        "order-%u cursor at word %llu but the lowest "
+                        "free block is in word %llu",
+                        o, (unsigned long long)map.cursor,
+                        (unsigned long long)lowest);
+        free_sum += shiftLeft(count, o);
     }
+
+    // Per-block checks: inside the managed range, and not nested in a
+    // free block of a higher order (the only way two aligned blocks can
+    // overlap).
+    forEachFreeBlock([&](Pfn pfn, unsigned o) {
+        MIX_AUDIT_CHECK(report, pfn + pow2(o) <= totalFrames_,
+                        "order-%u free block at pfn 0x%llx runs "
+                        "past the %llu managed frames",
+                        o, (unsigned long long)pfn,
+                        (unsigned long long)totalFrames_);
+        for (unsigned up = o + 1; up <= MaxOrder; up++) {
+            const Pfn outer = alignDown(pfn, pow2(up));
+            MIX_AUDIT_CHECK(report, !isFree(outer, up),
+                            "free blocks overlap: order-%u 0x%llx "
+                            "inside order-%u 0x%llx",
+                            o, (unsigned long long)pfn, up,
+                            (unsigned long long)outer);
+        }
+    });
 
     MIX_AUDIT_CHECK(report, free_sum == freeFrames_,
                     "free lists hold %llu frames but freeFrames() "
@@ -242,19 +318,6 @@ BuddyAllocator::audit(contracts::AuditReport &report) const
                     "freeFrames %llu exceeds totalFrames %llu",
                     (unsigned long long)freeFrames_,
                     (unsigned long long)totalFrames_);
-
-    std::sort(blocks.begin(), blocks.end());
-    for (std::size_t i = 1; i < blocks.size(); i++) {
-        const auto &[prev, prev_frames] = blocks[i - 1];
-        const auto &[cur, cur_frames] = blocks[i];
-        (void)cur_frames;
-        MIX_AUDIT_CHECK(report, prev + prev_frames <= cur,
-                        "free blocks overlap: [0x%llx, 0x%llx) and "
-                        "0x%llx",
-                        (unsigned long long)prev,
-                        (unsigned long long)(prev + prev_frames),
-                        (unsigned long long)cur);
-    }
 }
 
 double
@@ -264,7 +327,7 @@ BuddyAllocator::fragmentationIndex(unsigned order) const
         return 0.0;
     std::uint64_t usable = 0;
     for (unsigned o = order; o <= MaxOrder; o++)
-        usable += shiftLeft(freeLists_[o].size(), o);
+        usable += shiftLeft(free_[o].count, o);
     return 1.0 - static_cast<double>(usable)
                  / static_cast<double>(freeFrames_);
 }

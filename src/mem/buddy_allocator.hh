@@ -8,6 +8,11 @@
  * Linux's free-list ordering plus ascending fault order) is the mechanism
  * that makes consecutively allocated superpages physically contiguous —
  * the property MIX TLB coalescing relies on (Sec. 7.1 of the paper).
+ *
+ * The free lists are flat, pfn-indexed bitmaps, one per order (DESIGN.md
+ * §14): bit i of order o set means the block of 2^o frames at pfn
+ * i * 2^o is free. A per-order count and lowest-nonzero-word cursor make
+ * the lowest free block of an order an O(1) lookup.
  */
 
 #ifndef MIXTLB_MEM_BUDDY_ALLOCATOR_HH
@@ -16,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/contracts.hh"
@@ -87,27 +91,57 @@ class BuddyAllocator
     double fragmentationIndex(unsigned order) const;
 
     /**
-     * Structural audit: every free block naturally aligned and inside
-     * the managed range, free blocks pairwise disjoint, no two buddies
-     * left unmerged at the same order, and the free lists conserving
-     * freeFrames() exactly (split/merge must neither leak nor mint
-     * frames).
+     * Structural audit: every free block inside the managed range, free
+     * blocks pairwise disjoint, no two buddies left unmerged at the same
+     * order, each order's count and cursor matching its bitmap, and the
+     * free lists conserving freeFrames() exactly (split/merge must
+     * neither leak nor mint frames). Natural alignment holds by
+     * construction: a bit can only name an aligned block.
      */
     void audit(contracts::AuditReport &report) const;
 
   private:
     /** Test-only backdoor for the corruption-injection audit tests. */
     friend struct BuddyTestAccess;
+
+    /** The free blocks of one order. */
+    struct FreeMap
+    {
+        /** Bit i: the block at pfn i * 2^order is free. */
+        std::vector<std::uint64_t> words;
+        /** Blocks of this order inside the managed range. */
+        std::uint64_t blocks = 0;
+        /** Set bits (free blocks of this order). */
+        std::uint64_t count = 0;
+        /**
+         * Index of the lowest nonzero word, or words.size() when the
+         * order has no free block. Every word below it is zero.
+         */
+        std::uint64_t cursor = 0;
+    };
+
     std::uint64_t totalFrames_;
     std::uint64_t freeFrames_;
-    /** Per-order ordered free lists (lowest address first). */
-    std::vector<std::set<Pfn>> freeLists_;
+    std::vector<FreeMap> free_;
+
+    /** Is the block at @p pfn (aligned to @p order) on its free list? */
+    bool isFree(Pfn pfn, unsigned order) const;
+
+    /** Put / take the aligned block at @p pfn on / off its free list. */
+    void markFree(Pfn pfn, unsigned order);
+    void markUsed(Pfn pfn, unsigned order);
+
+    /** Lowest free block of @p order; the order must have one. */
+    Pfn lowestFree(unsigned order) const;
+
+    /**
+     * Order of the free block that contains the aligned region of
+     * 2^order frames at @p pfn, or nullopt if the region is not free.
+     */
+    std::optional<unsigned> coveringOrder(Pfn pfn, unsigned order) const;
 
     /** Insert a free block, merging with its buddy where possible. */
     void insertAndMerge(Pfn pfn, unsigned order);
-
-    /** Split one free block of @p from down to produce one of @p to. */
-    void splitTo(unsigned from, unsigned to);
 };
 
 } // namespace mixtlb::mem

@@ -1,5 +1,7 @@
 #include "phys_mem.hh"
 
+#include <utility>
+
 #include "common/intmath.hh"
 #include "common/logging.hh"
 
@@ -8,7 +10,8 @@ namespace mixtlb::mem
 
 PhysMem::PhysMem(std::uint64_t bytes)
     : bytes_(bytes), buddy_(bytes >> PageShift4K),
-      frameUse_(bytes >> PageShift4K, FrameUse::Free)
+      frameUse_(bytes >> PageShift4K, FrameUse::Free),
+      slot_(bytes >> PageShift4K, 0)
 {
     fatal_if(bytes == 0 || (bytes & (PageBytes4K - 1)) != 0,
              "physical memory size must be a nonzero multiple of 4KB");
@@ -36,8 +39,10 @@ void
 PhysMem::freeFrames(Pfn pfn, unsigned order)
 {
     tagFrames(pfn, order, FrameUse::Free);
-    for (std::uint64_t i = 0; i < pow2(order); i++)
-        data_.erase(pfn + i);
+    for (std::uint64_t i = 0; i < pow2(order); i++) {
+        if (slot_[pfn + i] != 0)
+            spare_.push_back(std::exchange(slot_[pfn + i], 0));
+    }
     buddy_.free(pfn, order);
 }
 
@@ -84,8 +89,11 @@ PhysMem::audit(contracts::AuditReport &report) const
         }
     });
     std::uint64_t mismatches = 0;
+    std::uint64_t stale_buffers = 0;
     for (Pfn pfn = 0; pfn < frameUse_.size(); pfn++) {
         const bool tagged_free = frameUse_[pfn] == FrameUse::Free;
+        if (tagged_free && slot_[pfn] != 0)
+            stale_buffers++;
         if (tagged_free == in_free_list[pfn])
             continue;
         if (mismatches++ < 8) { // a systematic drift floods the report
@@ -100,32 +108,24 @@ PhysMem::audit(contracts::AuditReport &report) const
     MIX_AUDIT_CHECK(report, mismatches <= 8,
                     "%llu further frame tag / free list mismatches",
                     (unsigned long long)(mismatches - 8));
+    MIX_AUDIT_CHECK(report, stale_buffers == 0,
+                    "%llu free frames still hold a word buffer",
+                    (unsigned long long)stale_buffers);
 }
 
-std::uint64_t
-PhysMem::read64(PAddr paddr) const
+std::uint32_t
+PhysMem::takeSlot()
 {
-    panic_if(paddr & 7, "unaligned read64");
-    Pfn pfn = paddr >> PageShift4K;
-    auto it = data_.find(pfn);
-    if (it == data_.end())
-        return 0;
-    return (*it->second)[(paddr & (PageBytes4K - 1)) >> 3];
-}
-
-void
-PhysMem::write64(PAddr paddr, std::uint64_t value)
-{
-    panic_if(paddr & 7, "unaligned write64");
-    Pfn pfn = paddr >> PageShift4K;
-    panic_if(pfn >= frameUse_.size(), "write64 past end of memory");
-    auto it = data_.find(pfn);
-    if (it == data_.end()) {
-        auto frame = std::make_unique<FrameData>();
-        frame->fill(0);
-        it = data_.emplace(pfn, std::move(frame)).first;
+    if (!spare_.empty()) {
+        const std::uint32_t slot = spare_.back();
+        spare_.pop_back();
+        buffers_[slot - 1]->fill(0);
+        return slot;
     }
-    (*it->second)[(paddr & (PageBytes4K - 1)) >> 3] = value;
+    panic_if(buffers_.size() >= UINT32_MAX, "frame buffer slots exhausted");
+    buffers_.push_back(std::make_unique<FrameData>());
+    buffers_.back()->fill(0);
+    return static_cast<std::uint32_t>(buffers_.size());
 }
 
 } // namespace mixtlb::mem

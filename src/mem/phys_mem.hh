@@ -4,7 +4,8 @@
  * word-granularity backing store for page-table frames.
  *
  * Only frames that are actually written (page-table frames) allocate
- * host storage, so multi-GB simulated memories stay cheap to model.
+ * host storage, so multi-GB simulated memories stay cheap to model. A
+ * flat per-frame slot table indexes those buffers (DESIGN.md §14).
  */
 
 #ifndef MIXTLB_MEM_PHYS_MEM_HH
@@ -14,9 +15,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "mem/buddy_allocator.hh"
 
@@ -70,17 +71,38 @@ class PhysMem
     /** Per-frame usage tag. */
     FrameUse frameUse(Pfn pfn) const;
 
-    /** Read a 64-bit word at physical address @p paddr (8-aligned). */
-    std::uint64_t read64(PAddr paddr) const;
+    /**
+     * Read a 64-bit word at physical address @p paddr (8-aligned); a
+     * frame never written since its allocation reads as zeros. Inline:
+     * every page-walk step reads a PTE through here.
+     */
+    std::uint64_t
+    read64(PAddr paddr) const
+    {
+        panic_if(paddr & 7, "unaligned read64");
+        const Pfn pfn = paddr >> PageShift4K;
+        if (pfn >= slot_.size() || slot_[pfn] == 0)
+            return 0;
+        return (*buffers_[slot_[pfn] - 1])[wordIndex(paddr)];
+    }
 
     /** Write a 64-bit word at physical address @p paddr (8-aligned). */
-    void write64(PAddr paddr, std::uint64_t value);
+    void
+    write64(PAddr paddr, std::uint64_t value)
+    {
+        panic_if(paddr & 7, "unaligned write64");
+        const Pfn pfn = paddr >> PageShift4K;
+        panic_if(pfn >= slot_.size(), "write64 past end of memory");
+        if (slot_[pfn] == 0)
+            slot_[pfn] = takeSlot();
+        (*buffers_[slot_[pfn] - 1])[wordIndex(paddr)] = value;
+    }
 
     /**
      * Structural audit: the buddy allocator's own invariants, plus the
      * cross-check that frame-usage tags and the free lists agree (a
      * frame on a free list must be tagged Free, and the Free tag count
-     * must equal freeFrames()).
+     * must equal freeFrames()), and that no free frame keeps a buffer.
      */
     void audit(contracts::AuditReport &report) const;
 
@@ -88,13 +110,30 @@ class PhysMem
     static constexpr unsigned WordsPerFrame = PageBytes4K / 8;
     using FrameData = std::array<std::uint64_t, WordsPerFrame>;
 
+    /** Index of the word at @p paddr within its frame. */
+    static constexpr std::uint64_t
+    wordIndex(PAddr paddr)
+    {
+        return (paddr & (PageBytes4K - 1)) >> 3;
+    }
+
     std::uint64_t bytes_;
     BuddyAllocator buddy_;
     std::vector<FrameUse> frameUse_;
-    /** Sparse backing store, indexed by frame number. */
-    std::unordered_map<Pfn, std::unique_ptr<FrameData>> data_;
+    /**
+     * Per-frame backing-store slot: 0 for a frame never written since
+     * it was last allocated, else 1 + its index into buffers_.
+     */
+    std::vector<std::uint32_t> slot_;
+    /** Word buffers of the written frames, reused through spare_. */
+    std::vector<std::unique_ptr<FrameData>> buffers_;
+    /** Slots released by freeFrames, ready for the next written frame. */
+    std::vector<std::uint32_t> spare_;
 
     void tagFrames(Pfn pfn, unsigned order, FrameUse use);
+
+    /** A zeroed buffer slot for a frame's first write. */
+    std::uint32_t takeSlot();
 };
 
 } // namespace mixtlb::mem

@@ -19,7 +19,6 @@
 #define MIXTLB_OS_MEMHOG_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/random.hh"

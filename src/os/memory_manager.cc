@@ -7,9 +7,18 @@
 namespace mixtlb::os
 {
 
+namespace
+{
+
+/** Frames per movable-registry block (one 2MB pageblock). */
+constexpr std::uint64_t BlockFrames = pow2(mem::Order2M);
+
+} // namespace
+
 MemoryManager::MemoryManager(mem::PhysMem &mem, stats::StatGroup *parent,
                              CompactionParams params)
-    : mem_(mem), params_(params), rng_(params.seed),
+    : mem_(mem), params_(params),
+      movable_(divCeil(mem.totalFrames(), BlockFrames)), rng_(params.seed),
       stats_("mm", parent),
       directAllocs_(stats_.addScalar("direct_allocs",
           "contiguous allocations satisfied without compaction")),
@@ -64,21 +73,64 @@ MemoryManager::reclaim(std::uint64_t want)
     return freed;
 }
 
+const MemoryManager::Movable *
+MemoryManager::findMovable(Pfn pfn) const
+{
+    const std::uint64_t block = pfn / BlockFrames;
+    if (block >= movable_.size() || !movable_[block])
+        return nullptr;
+    const Movable &entry = (*movable_[block])[pfn % BlockFrames];
+    return entry.owner ? &entry : nullptr;
+}
+
 void
 MemoryManager::registerMovable(Pfn pfn, MovableOwner *owner,
                                std::uint64_t tag)
 {
-    auto [it, inserted] = movable_.try_emplace(pfn, Movable{owner, tag});
-    panic_if(!inserted, "frame 0x%llx already registered movable",
+    panic_if(owner == nullptr, "movable frame 0x%llx without an owner",
              (unsigned long long)pfn);
+    const std::uint64_t block = pfn / BlockFrames;
+    panic_if(block >= movable_.size(),
+             "movable frame 0x%llx past the end of memory",
+             (unsigned long long)pfn);
+    if (!movable_[block])
+        movable_[block] = std::make_unique<MovableBlock>();
+    Movable &entry = (*movable_[block])[pfn % BlockFrames];
+    panic_if(entry.owner != nullptr,
+             "frame 0x%llx already registered movable",
+             (unsigned long long)pfn);
+    entry = Movable{owner, tag};
 }
 
 void
 MemoryManager::unregisterMovable(Pfn pfn)
 {
-    auto erased = movable_.erase(pfn);
-    panic_if(erased == 0, "frame 0x%llx was not movable",
+    panic_if(!isMovable(pfn), "frame 0x%llx was not movable",
              (unsigned long long)pfn);
+    (*movable_[pfn / BlockFrames])[pfn % BlockFrames] = Movable{};
+}
+
+void
+MemoryManager::audit(contracts::AuditReport &report) const
+{
+    std::uint64_t mismatches = 0;
+    for (Pfn pfn = 0; pfn < mem_.totalFrames(); pfn++) {
+        const bool small = mem_.frameUse(pfn) == mem::FrameUse::AppSmall;
+        const bool registered = isMovable(pfn);
+        if (small == registered)
+            continue;
+        if (mismatches++ < 8) { // a systematic drift floods the report
+            MIX_AUDIT_CHECK(report, false,
+                            "frame 0x%llx is %s movable but %s AppSmall",
+                            (unsigned long long)pfn,
+                            registered ? "registered" : "not registered",
+                            small ? "tagged" : "not tagged");
+        }
+    }
+    MIX_AUDIT_CHECK(report, mismatches <= 8,
+                    "%llu further movable registry / frame tag "
+                    "mismatches",
+                    (unsigned long long)(mismatches - 8));
 }
 
 double
@@ -191,8 +243,8 @@ MemoryManager::regionMigratable(Pfn base, unsigned order,
           case mem::FrameUse::Free:
             break;
           case mem::FrameUse::AppSmall:
-            // Movable iff registered (it always should be).
-            if (!movable_.count(base + i))
+            // Movable iff registered (audit() checks it always is).
+            if (!isMovable(base + i))
                 return false;
             allocated++;
             break;
@@ -245,8 +297,8 @@ MemoryManager::compact(unsigned order, mem::FrameUse use)
         bool failed = false;
         for (std::uint64_t i = 0; i < region && !failed; i++) {
             Pfn old_pfn = base + i;
-            auto it = movable_.find(old_pfn);
-            if (it == movable_.end())
+            const Movable *found = findMovable(old_pfn);
+            if (!found)
                 continue; // was free, already claimed
             auto dest = mem_.allocFrames(0, mem::FrameUse::AppSmall);
             if (!dest) {
@@ -255,8 +307,8 @@ MemoryManager::compact(unsigned order, mem::FrameUse use)
             }
             panic_if(*dest >= base && *dest < base + region,
                      "migration destination inside the region");
-            Movable entry = it->second;
-            movable_.erase(it);
+            const Movable entry = *found;
+            unregisterMovable(old_pfn);
             registerMovable(*dest, entry.owner, entry.tag);
             entry.owner->relocate(entry.tag, old_pfn, *dest);
             // The vacated frame is now ours; mark it like the holes.

@@ -13,13 +13,15 @@
 #ifndef MIXTLB_OS_MEMORY_MANAGER_HH
 #define MIXTLB_OS_MEMORY_MANAGER_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/intmath.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -80,6 +82,17 @@ class MemoryManager
     /** Remove a frame from the movable registry (before freeing it). */
     void unregisterMovable(Pfn pfn);
 
+    /** Is @p pfn registered as movable? */
+    bool isMovable(Pfn pfn) const { return findMovable(pfn) != nullptr; }
+
+    /**
+     * Structural audit: the movable registry and the frame tags agree.
+     * Every registered frame is tagged AppSmall and every AppSmall
+     * frame is registered, which is what lets compaction migrate any
+     * 4KB application page.
+     */
+    void audit(contracts::AuditReport &report) const;
+
     /**
      * A reclaimer frees up to the requested number of frames (by
      * demoting superpages, dropping cold pages, abandoning reservation
@@ -133,15 +146,25 @@ class MemoryManager
     stats::StatGroup &statGroup() { return stats_; }
 
   private:
+    /** A registry entry; a null owner marks an unregistered frame. */
     struct Movable
     {
-        MovableOwner *owner;
-        std::uint64_t tag;
+        MovableOwner *owner = nullptr;
+        std::uint64_t tag = 0;
     };
+    /** The entries of one 2MB pageblock. */
+    using MovableBlock = std::array<Movable, pow2(mem::Order2M)>;
 
     mem::PhysMem &mem_;
     CompactionParams params_;
-    std::unordered_map<Pfn, Movable> movable_;
+    /**
+     * The movable registry, indexed by pfn: one block per 2MB
+     * pageblock, allocated on its first registration (DESIGN.md §14).
+     */
+    std::vector<std::unique_ptr<MovableBlock>> movable_;
+
+    /** The registry entry of @p pfn, or nullptr if not registered. */
+    const Movable *findMovable(Pfn pfn) const;
 
     /** Reclaimers in registration order (determinism). */
     std::vector<std::pair<const void *, Reclaimer>> reclaimers_;

@@ -247,6 +247,7 @@ MachineCore::auditAll() const
 {
     contracts::AuditReport report(root_.name());
     mem_.audit(report);
+    mm_.audit(report);
     auditOs(report);
     for (const auto &proc : procs_)
         proc->audit(report); // covers the page table's radix invariants

@@ -110,10 +110,10 @@ class MachineCore
     void startMeasurement();
 
     /**
-     * Run every structural auditor (memory, kind-specific OS state,
-     * processes, each distinct TLB level) and raise on any violation.
-     * Runs at phase boundaries when paranoia >= 1 and periodically
-     * mid-run at paranoia >= 3.
+     * Run every structural auditor (memory, the movable registry,
+     * kind-specific OS state, processes, each distinct TLB level) and
+     * raise on any violation. Runs at phase boundaries when paranoia
+     * >= 1 and periodically mid-run at paranoia >= 3.
      */
     void auditAll() const;
 

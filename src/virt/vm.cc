@@ -61,6 +61,7 @@ void
 Vm::audit(contracts::AuditReport &report) const
 {
     guestPhys_->audit(report);
+    guestMm_->audit(report);
     eptProc_->audit(report);
 }
 

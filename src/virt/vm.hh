@@ -76,7 +76,10 @@ class Vm
 
     std::uint64_t guestMemBytes() const { return params_.guestMemBytes; }
 
-    /** Audit guest-physical memory and the hypervisor's EPT process. */
+    /**
+     * Audit guest-physical memory, the guest memory manager's movable
+     * registry and the hypervisor's EPT process.
+     */
     void audit(contracts::AuditReport &report) const;
 
     stats::StatGroup &statGroup() { return stats_; }

@@ -51,13 +51,22 @@ struct MixTlbTestAccess
 namespace mixtlb::mem
 {
 
-/** Backdoor used only here: plant a bogus block on a free list. */
+/** Backdoor used only here: corrupt the per-order free bitmaps. */
 struct BuddyTestAccess
 {
+    /** Set the free bit of the block at @p pfn, bypassing the count. */
     static void
     injectFreeBlock(BuddyAllocator &buddy, Pfn pfn, unsigned order)
     {
-        buddy.freeLists_.at(order).insert(pfn);
+        const std::uint64_t idx = pfn >> order;
+        buddy.free_.at(order).words.at(idx / 64) |= 1ULL << (idx % 64);
+    }
+
+    /** Skew the free-block count of @p order by @p delta. */
+    static void
+    driftCount(BuddyAllocator &buddy, unsigned order, std::int64_t delta)
+    {
+        buddy.free_.at(order).count += static_cast<std::uint64_t>(delta);
     }
 };
 
@@ -355,17 +364,43 @@ TEST(BuddyAudit, InjectedDoubleFreeBreaksConservation)
         << report.summary();
 }
 
-TEST(BuddyAudit, MisalignedFreeBlockIsReported)
+TEST(BuddyAudit, BlockPastTotalFramesIsReported)
 {
-    mem::BuddyAllocator buddy(1024);
-    auto pfn = buddy.alloc(3); // carve out room for the bogus block
-    ASSERT_TRUE(pfn);
-    mem::BuddyTestAccess::injectFreeBlock(buddy, *pfn + 1, 1);
+    // 1000 frames: order 0 has 1000 blocks in 16 words, so bit 1000 is
+    // padding that names a frame outside the managed range.
+    mem::BuddyAllocator buddy(1000);
+    mem::BuddyTestAccess::injectFreeBlock(buddy, 1000, 0);
     contracts::AuditReport report;
     buddy.audit(report);
     EXPECT_FALSE(report.ok());
-    EXPECT_TRUE(report.mentions("naturally aligned"))
+    EXPECT_TRUE(report.mentions("past the 1000 managed frames"))
         << report.summary();
+}
+
+TEST(BuddyAudit, UnmergedBuddiesAreReported)
+{
+    mem::BuddyAllocator buddy(1024);
+    auto pfn = buddy.alloc(1); // two order-0 buddies, both allocated
+    ASSERT_TRUE(pfn);
+    mem::BuddyTestAccess::injectFreeBlock(buddy, *pfn, 0);
+    mem::BuddyTestAccess::injectFreeBlock(buddy, *pfn + 1, 0);
+    contracts::AuditReport report;
+    buddy.audit(report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.mentions("both free but unmerged"))
+        << report.summary();
+}
+
+TEST(BuddyAudit, CountDriftIsReported)
+{
+    mem::BuddyAllocator buddy(1024);
+    auto pfn = buddy.alloc(0);
+    ASSERT_TRUE(pfn);
+    mem::BuddyTestAccess::driftCount(buddy, 0, 1);
+    contracts::AuditReport report;
+    buddy.audit(report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.mentions("free lists hold")) << report.summary();
 }
 
 TEST(PhysMemAudit, FreeListAndUsageTagDisagreementIsReported)

@@ -1,17 +1,22 @@
 /**
  * @file
- * Unit and property tests for src/mem: buddy allocator, physical memory,
- *
+ * Unit and property tests for src/mem: the buddy allocator (including a
+ * differential test against the ordered-set reference model) and
+ * physical memory with its per-frame word buffers.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/contracts.hh"
+#include "common/intmath.hh"
 #include "common/random.hh"
 #include "mem/buddy_allocator.hh"
 #include "mem/phys_mem.hh"
+#include "reference_buddy.hh"
 
 using namespace mixtlb;
 using namespace mixtlb::mem;
@@ -21,6 +26,105 @@ namespace
 
 constexpr std::uint64_t MiB = 1024 * 1024;
 constexpr std::uint64_t GiB = 1024 * MiB;
+
+/** A random order: mostly small, sometimes superpage-sized, up to 1GB. */
+unsigned
+randomOrder(Rng &rng)
+{
+    switch (rng.nextBounded(8)) {
+      case 0: case 1: case 2: case 3:
+        return 0;
+      case 4: case 5:
+        return static_cast<unsigned>(rng.nextBounded(4));
+      case 6:
+        return static_cast<unsigned>(rng.nextBounded(Order2M + 2));
+      default:
+        return static_cast<unsigned>(
+            rng.nextBounded(BuddyAllocator::MaxOrder + 1));
+    }
+}
+
+/**
+ * Drive the bitmap allocator and the ordered-set reference model with
+ * one seeded operation sequence; every answer must match and the
+ * allocator must audit clean after every step. Phases alternate
+ * between filling and draining so runs reach both exhaustion and
+ * full re-merging.
+ */
+void
+runBuddyDifferential(std::uint64_t frames, std::uint64_t seed,
+                     unsigned steps)
+{
+    BuddyAllocator buddy(frames);
+    reference::ReferenceBuddy model(frames);
+    Rng rng(seed);
+    std::vector<std::pair<Pfn, unsigned>> held;
+    for (unsigned step = 0; step < steps; step++) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const bool filling = (step / 256) % 2 == 0;
+        const std::uint64_t alloc_cut = filling ? 10 : 3;
+        const std::uint64_t region_cut = alloc_cut + (filling ? 4 : 3);
+        const std::uint64_t roll = rng.nextBounded(20);
+        if (roll < alloc_cut) {
+            const unsigned order = randomOrder(rng);
+            auto got = buddy.alloc(order);
+            auto want = model.alloc(order);
+            ASSERT_EQ(got, want) << "alloc order " << order;
+            if (got)
+                held.emplace_back(*got, order);
+        } else if (roll < region_cut) {
+            const unsigned order = randomOrder(rng);
+            // Aligned bases up to one block past the end of memory.
+            const Pfn pfn =
+                rng.nextBounded(divCeil(frames, pow2(order)) + 1)
+                << order;
+            ASSERT_EQ(buddy.isRegionFree(pfn, order),
+                      model.isRegionFree(pfn, order))
+                << "isRegionFree " << pfn << " order " << order;
+            const bool got = buddy.allocRegion(pfn, order);
+            ASSERT_EQ(got, model.allocRegion(pfn, order))
+                << "allocRegion " << pfn << " order " << order;
+            if (got)
+                held.emplace_back(pfn, order);
+        } else if (!held.empty()) {
+            const auto idx = rng.nextBounded(held.size());
+            const auto [pfn, order] = held[idx];
+            held[idx] = held.back();
+            held.pop_back();
+            buddy.free(pfn, order);
+            model.free(pfn, order);
+        }
+
+        ASSERT_EQ(buddy.freeFrames(), model.freeFrames());
+        ASSERT_EQ(buddy.largestFreeOrder(), model.largestFreeOrder());
+        for (unsigned o = 0; o <= BuddyAllocator::MaxOrder; o++)
+            ASSERT_EQ(buddy.freeBlocksAt(o), model.freeBlocksAt(o)) << o;
+        const unsigned frag_order = randomOrder(rng);
+        ASSERT_EQ(buddy.fragmentationIndex(frag_order),
+                  model.fragmentationIndex(frag_order));
+        contracts::AuditReport report;
+        buddy.audit(report);
+        ASSERT_TRUE(report.ok()) << report.summary();
+        if (step % 64 == 63 || step + 1 == steps) {
+            std::vector<std::pair<Pfn, unsigned>> blocks;
+            buddy.forEachFreeBlock([&blocks](Pfn pfn, unsigned order) {
+                blocks.emplace_back(pfn, order);
+            });
+            ASSERT_EQ(blocks, model.freeBlocks());
+        }
+    }
+    // Drain: everything merges back to the boot-time block layout.
+    for (auto [pfn, order] : held) {
+        buddy.free(pfn, order);
+        model.free(pfn, order);
+    }
+    EXPECT_EQ(buddy.freeFrames(), frames);
+    std::vector<std::pair<Pfn, unsigned>> blocks;
+    buddy.forEachFreeBlock([&blocks](Pfn pfn, unsigned order) {
+        blocks.emplace_back(pfn, order);
+    });
+    EXPECT_EQ(blocks, reference::ReferenceBuddy(frames).freeBlocks());
+}
 
 } // anonymous namespace
 
@@ -183,6 +287,26 @@ TEST(Buddy, FragmentationIndex)
     EXPECT_LE(frag, 1.0);
 }
 
+TEST(BuddyProperty, MatchesReferenceModelSmallOddSize)
+{
+    // 1000 frames: no order has a power-of-two block count.
+    for (std::uint64_t seed : {1, 2, 3})
+        runBuddyDifferential(1000, seed, 3000);
+}
+
+TEST(BuddyProperty, MatchesReferenceModelMidSize)
+{
+    // 2MB blocks with an odd tail below them.
+    runBuddyDifferential(16 * 512 + 77, 11, 3000);
+}
+
+TEST(BuddyProperty, MatchesReferenceModelWithGigabyteRegions)
+{
+    // Three order-18 blocks plus an odd tail, so 1GB allocs and
+    // allocRegion calls succeed, fail and split.
+    runBuddyDifferential(3 * pow2(Order1G) + 777, 21, 1500);
+}
+
 TEST(BuddyDeathTest, MisalignedFreePanics)
 {
     BuddyAllocator buddy(1 << 12);
@@ -213,6 +337,53 @@ TEST(PhysMem, ReadWriteWords)
     // Freeing wipes backing data.
     mem.freeFrames(*pfn, 0);
     EXPECT_EQ(mem.read64(base + 8), 0u);
+}
+
+TEST(PhysMem, ReallocatedFrameReadsZero)
+{
+    PhysMem mem(16 * MiB);
+    auto kept = mem.allocFrames(0, FrameUse::PageTable);
+    auto pfn = mem.allocFrames(0, FrameUse::PageTable);
+    ASSERT_TRUE(kept && pfn);
+    const PAddr kept_base = *kept << PageShift4K;
+    const PAddr base = *pfn << PageShift4K;
+    mem.write64(kept_base + 16, 0x1111);
+    for (PAddr off = 0; off < PageBytes4K; off += 8)
+        mem.write64(base + off, 0xabcd0000 + off);
+    mem.freeFrames(*pfn, 0);
+    // Lowest-address-first hands the same frame straight back; neither
+    // a read nor a first write may see its old words.
+    auto again = mem.allocFrames(0, FrameUse::PageTable);
+    ASSERT_EQ(again, pfn);
+    EXPECT_EQ(mem.read64(base + 8), 0u);
+    mem.write64(base, 7);
+    EXPECT_EQ(mem.read64(base), 7u);
+    for (PAddr off = 8; off < PageBytes4K; off += 8)
+        ASSERT_EQ(mem.read64(base + off), 0u) << off;
+    EXPECT_EQ(mem.read64(kept_base + 16), 0x1111u);
+    contracts::AuditReport report;
+    mem.audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+TEST(PhysMem, FreeingABlockReleasesEveryWrittenFrame)
+{
+    PhysMem mem(16 * MiB);
+    auto block = mem.allocFrames(3, FrameUse::PageTable);
+    ASSERT_TRUE(block);
+    for (std::uint64_t i = 0; i < 8; i += 2)
+        mem.write64((*block + i) << PageShift4K, i + 1);
+    mem.freeFrames(*block, 3);
+    contracts::AuditReport report;
+    mem.audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
+    // The released buffers come back zeroed, to any frame.
+    auto other = mem.allocFrames(0, FrameUse::PageTable);
+    ASSERT_TRUE(other);
+    for (std::uint64_t i = 0; i < 8; i++)
+        EXPECT_EQ(mem.read64((*block + i) << PageShift4K), 0u) << i;
+    mem.write64(*other << PageShift4K, 5);
+    EXPECT_EQ(mem.read64((*other << PageShift4K) + 8), 0u);
 }
 
 TEST(PhysMemDeathTest, UnalignedAccessPanics)

@@ -32,6 +32,18 @@ struct OsFixture : ::testing::Test
     MemoryManager mm{mem, &root};
 };
 
+/** A movable owner that records the relocations it is told about. */
+struct RecordingOwner : MovableOwner
+{
+    std::vector<std::pair<Pfn, Pfn>> moves;
+
+    void
+    relocate(std::uint64_t, Pfn from, Pfn to) override
+    {
+        moves.emplace_back(from, to);
+    }
+};
+
 ProcessParams
 thpParams()
 {
@@ -138,6 +150,135 @@ TEST_F(OsFixture, MemhogRelocateKeepsRegistryConsistent)
     hog.release();
     mem.freeFrames(*pfn, mem::Order2M);
     EXPECT_EQ(mem.buddy().freeFrames(), mem.totalFrames());
+}
+
+TEST_F(OsFixture, MovableRegistryReregistersAndAuditsClean)
+{
+    RecordingOwner first, second;
+    auto pfn = mem.allocFrames(0, mem::FrameUse::AppSmall);
+    ASSERT_TRUE(pfn);
+    EXPECT_FALSE(mm.isMovable(*pfn));
+    mm.registerMovable(*pfn, &first, 1);
+    EXPECT_TRUE(mm.isMovable(*pfn));
+    mm.unregisterMovable(*pfn);
+    EXPECT_FALSE(mm.isMovable(*pfn));
+    // A frame can be registered again, under another owner.
+    mm.registerMovable(*pfn, &second, 2);
+    EXPECT_TRUE(mm.isMovable(*pfn));
+    // Frames in the same and in other pageblocks stay unregistered.
+    EXPECT_FALSE(mm.isMovable(*pfn + 1));
+    EXPECT_FALSE(mm.isMovable(mem.totalFrames() - 1));
+    contracts::AuditReport report;
+    mm.audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+TEST_F(OsFixture, MovableRegistryFollowsCompactionToTheNewOwnerEntry)
+{
+    // Fill the first 2MB pageblock with registered movable frames of a
+    // re-registered owner; compaction must migrate them through it.
+    RecordingOwner stale, owner;
+    std::vector<Pfn> frames;
+    for (unsigned i = 0; i < 512; i++) {
+        auto pfn = mem.allocFrames(0, mem::FrameUse::AppSmall);
+        ASSERT_TRUE(pfn);
+        mm.registerMovable(*pfn, &stale, i);
+        mm.unregisterMovable(*pfn);
+        mm.registerMovable(*pfn, &owner, i);
+        frames.push_back(*pfn);
+    }
+    // Leave no free 2MB block, so the request must compact: hold every
+    // other block and pin one frame in each of the rest.
+    std::vector<Pfn> blockers;
+    while (auto blk = mem.allocFrames(mem::Order2M, mem::FrameUse::Pinned))
+        blockers.push_back(*blk);
+    for (std::size_t i = 0; i < blockers.size(); i += 2) {
+        mem.freeFrames(blockers[i], mem::Order2M);
+        ASSERT_TRUE(mem.allocFramesAt(blockers[i] + 7, 0,
+                                      mem::FrameUse::Pinned));
+    }
+    auto got = mm.allocContiguous(mem::Order2M, mem::FrameUse::AppHuge,
+                                  true, false);
+    ASSERT_TRUE(got);
+    EXPECT_EQ(*got, frames.front());
+    EXPECT_EQ(owner.moves.size(), 512u);
+    EXPECT_TRUE(stale.moves.empty());
+    for (auto [from, to] : owner.moves) {
+        EXPECT_FALSE(mm.isMovable(from));
+        EXPECT_TRUE(mm.isMovable(to));
+    }
+    contracts::AuditReport report;
+    mm.audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+TEST_F(OsFixture, MemoryManagerAuditReportsUnregisteredSmallFrame)
+{
+    auto pfn = mem.allocFrames(0, mem::FrameUse::AppSmall);
+    ASSERT_TRUE(pfn);
+    contracts::AuditReport report;
+    mm.audit(report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.mentions("not registered movable but tagged "
+                                "AppSmall"))
+        << report.summary();
+}
+
+TEST_F(OsFixture, MemoryManagerAuditReportsRegisteredFrameRetagged)
+{
+    RecordingOwner owner;
+    auto pfn = mem.allocFrames(0, mem::FrameUse::AppSmall);
+    ASSERT_TRUE(pfn);
+    mm.registerMovable(*pfn, &owner, 0);
+    mem.retagFrames(*pfn, 0, mem::FrameUse::Pinned);
+    contracts::AuditReport report;
+    mm.audit(report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.mentions("registered movable but not tagged "
+                                "AppSmall"))
+        << report.summary();
+}
+
+TEST_F(OsFixture, MemhogAndProcessesKeepTheRegistryAudited)
+{
+    Memhog hog(mm, 0.3);
+    hog.fragment(0.5, 5);
+    Process proc(mm, thpParams(), &root);
+    VAddr base = proc.mmap(128 * MiB);
+    for (VAddr va = base; va < base + 128 * MiB; va += PageBytes4K)
+        proc.touch(va);
+    proc.demoteStorm(4);
+    mm.reclaim(256);
+    proc.maintain();
+    contracts::AuditReport report;
+    mm.audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+TEST(MovableRegistryDeathTest, DoubleRegisterPanics)
+{
+    mem::PhysMem mem(16 * MiB);
+    stats::StatGroup root("test");
+    MemoryManager mm(mem, &root);
+    RecordingOwner owner;
+    mm.registerMovable(5, &owner, 0);
+    EXPECT_DEATH(mm.registerMovable(5, &owner, 1),
+                 "already registered movable");
+}
+
+TEST(MovableRegistryDeathTest, UnregisterUnknownFramePanics)
+{
+    mem::PhysMem mem(16 * MiB);
+    stats::StatGroup root("test");
+    MemoryManager mm(mem, &root);
+    RecordingOwner owner;
+    // Neither a frame in an untouched pageblock nor an unregistered
+    // neighbour in a touched one.
+    EXPECT_DEATH(mm.unregisterMovable(5), "was not movable");
+    mm.registerMovable(5, &owner, 0);
+    EXPECT_DEATH(mm.unregisterMovable(6), "was not movable");
+    mm.unregisterMovable(5);
+    EXPECT_DEATH(mm.unregisterMovable(5), "was not movable");
 }
 
 TEST_F(OsFixture, MemhogUnmovableShareClaimsPageblocks)
