@@ -1,8 +1,9 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulator's hot operations:
- * TLB lookups/fills for each design, full MMU accesses, and the OS
- * model's physical-memory work (memhog fragmentation, buddy frees).
+ * TLB lookups/fills for each design, page walks native and nested,
+ * full MMU accesses, and the OS model's physical-memory work (memhog
+ * fragmentation, buddy frees).
  * These guard the simulator's own performance (host ns/op), not the
  * modelled cycles.
  */
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mem/buddy_allocator.hh"
@@ -22,6 +24,8 @@
 #include "sim/configs.hh"
 #include "sim/machine.hh"
 #include "tlb/mix.hh"
+#include "virt/nested_walk.hh"
+#include "virt/vm.hh"
 
 using namespace mixtlb;
 
@@ -95,6 +99,60 @@ BM_PageTableWalk(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PageTableWalk);
+
+/**
+ * 2-D nested walks in two VMs on one host, each running gups over
+ * 64 MB of THP guest memory that a guest memhog fragmented (0.4), as
+ * the virt-nested perfbench workload does: an EPT walk per guest level
+ * and for the data page, then the guest PTE line's neighbour scan.
+ * Items are nested walks.
+ */
+void
+BM_NestedWalk(benchmark::State &state)
+{
+    constexpr unsigned Vms = 2;
+    constexpr std::uint64_t Footprint = 64ULL << 20;
+    mem::PhysMem host_mem(2 * GiB);
+    stats::StatGroup root("bm");
+    os::MemoryManager host_mm(host_mem, &root);
+    std::vector<std::unique_ptr<virt::Vm>> vms;
+    std::vector<std::unique_ptr<os::Memhog>> hogs;
+    std::vector<std::unique_ptr<os::Process>> guests;
+    std::vector<std::unique_ptr<virt::NestedWalkSource>> sources;
+    std::vector<VAddr> bases;
+    for (unsigned v = 0; v < Vms; v++) {
+        virt::VmParams vm_params;
+        vm_params.name = "vm" + std::to_string(v);
+        vm_params.guestMemBytes = 512ULL << 20;
+        auto &vm = *vms.emplace_back(
+            std::make_unique<virt::Vm>(host_mm, vm_params, &root));
+        hogs.emplace_back(std::make_unique<os::Memhog>(vm.guestMm()))
+            ->fragment(0.4, v + 1);
+        os::ProcessParams guest_params;
+        guest_params.name = "guest" + std::to_string(v);
+        guest_params.policy = os::PagePolicy::Thp;
+        auto &guest = *guests.emplace_back(std::make_unique<os::Process>(
+            vm.guestMm(), guest_params, &root));
+        auto &source = *sources.emplace_back(
+            std::make_unique<virt::NestedWalkSource>(vm, guest, &root));
+        VAddr base = guest.mmap(Footprint);
+        // Back the guest pages, then their page tables and data in
+        // the EPT, so the timed walks take no faults.
+        for (VAddr va = base; va < base + Footprint; va += PageBytes4K) {
+            guest.touch(va);
+            source.walk(va, false);
+        }
+        bases.push_back(base);
+    }
+    Rng rng(1);
+    for (auto _ : state) {
+        const auto v = static_cast<unsigned>(rng.nextBounded(Vms));
+        const VAddr va = bases[v] + rng.nextBounded(Footprint);
+        benchmark::DoNotOptimize(sources[v]->walk(va, false));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NestedWalk);
 
 void
 BM_MachineAccess(benchmark::State &state)

@@ -87,7 +87,7 @@ void setParanoia(unsigned level);
 
 /** Report a violated contract and exit(1). Used by the macros below. */
 [[noreturn]] void violation(const char *file, int line, const char *expr,
-                            const std::string &msg);
+                            const std::string &msg = {});
 
 /**
  * Accumulates invariant violations found by one structural audit pass.
@@ -142,15 +142,15 @@ void require(const AuditReport &report);
 
 /**
  * Always-on cheap precondition. On failure, prints the failed
- * expression, location, and a printf-formatted context message, then
- * exits with code 1.
+ * expression, location, and a printf-formatted context message (which
+ * may be omitted), then exits with code 1.
  */
 #define MIX_EXPECT(cond, ...)                                             \
     do {                                                                  \
         if (!(cond)) {                                                    \
             ::mixtlb::contracts::violation(                               \
-                __FILE__, __LINE__, #cond,                                \
-                ::mixtlb::logging_detail::vformat("" __VA_ARGS__));       \
+                __FILE__, __LINE__, #cond __VA_OPT__(,                    \
+                ::mixtlb::logging_detail::vformat("" __VA_ARGS__)));      \
         }                                                                 \
     } while (0)
 

@@ -9,15 +9,20 @@
  * The capacity is an architectural bound, not a heuristic: exceeding
  * it is a modelling bug and traps fatally via MIX_EXPECT even in
  * release builds. Only the first size() elements are ever read,
- * copied, or compared; storage is deliberately left uninitialised so
- * constructing a large-capacity result costs nothing.
+ * copied, or compared. The storage is raw bytes: a slot holds an
+ * object only once push_back/assign/append constructs one there, so
+ * constructing a large-capacity result costs nothing even when T has
+ * default member initialisers. That is sound only for element types
+ * that need no destructor and may be copied bytewise, which the
+ * static_assert below enforces.
  */
 
 #ifndef MIXTLB_COMMON_INLINE_VEC_HH
 #define MIXTLB_COMMON_INLINE_VEC_HH
 
-#include <array>
 #include <cstddef>
+#include <memory>
+#include <type_traits>
 
 #include "common/contracts.hh"
 
@@ -27,12 +32,19 @@ namespace mixtlb
 template <typename T, std::size_t N>
 class InlineVec
 {
+    static_assert(std::is_trivially_copyable_v<T>
+                      && std::is_trivially_destructible_v<T>,
+                  "InlineVec leaves slots past size() unconstructed and "
+                  "never destroys elements");
+
   public:
     using value_type = T;
     using iterator = T *;
     using const_iterator = const T *;
 
-    InlineVec() = default;
+    // Not `= default`: value-initialising a defaulted constructor would
+    // zero the whole storage array.
+    InlineVec() noexcept {}
 
     InlineVec(const InlineVec &other) { assignFrom(other); }
 
@@ -51,7 +63,7 @@ class InlineVec
                    "InlineVec overflow: capacity %zu exceeded "
                    "(architectural bound violated)",
                    N);
-        data_[size_++] = value;
+        std::construct_at(data() + size_++, value);
     }
 
     /** Resize to @p count copies of @p value (std::vector::assign). */
@@ -63,7 +75,7 @@ class InlineVec
                    "%zu",
                    count, N);
         for (std::size_t i = 0; i < count; i++)
-            data_[i] = value;
+            std::construct_at(data() + i, value);
         size_ = count;
     }
 
@@ -77,22 +89,22 @@ class InlineVec
                    "capacity %zu",
                    count, size_, N);
         for (std::size_t i = 0; i < count; i++)
-            data_[size_ + i] = first[i];
+            std::construct_at(data() + size_ + i, first[i]);
         size_ += count;
     }
 
     void clear() { size_ = 0; }
 
-    T &operator[](std::size_t i) { return data_[i]; }
-    const T &operator[](std::size_t i) const { return data_[i]; }
+    T &operator[](std::size_t i) { return data()[i]; }
+    const T &operator[](std::size_t i) const { return data()[i]; }
 
-    T *data() { return data_.data(); }
-    const T *data() const { return data_.data(); }
+    T *data() { return reinterpret_cast<T *>(storage_); }
+    const T *data() const { return reinterpret_cast<const T *>(storage_); }
 
-    iterator begin() { return data_.data(); }
-    iterator end() { return data_.data() + size_; }
-    const_iterator begin() const { return data_.data(); }
-    const_iterator end() const { return data_.data() + size_; }
+    iterator begin() { return data(); }
+    iterator end() { return data() + size_; }
+    const_iterator begin() const { return data(); }
+    const_iterator end() const { return data() + size_; }
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
@@ -103,11 +115,11 @@ class InlineVec
     assignFrom(const InlineVec &other)
     {
         for (std::size_t i = 0; i < other.size_; i++)
-            data_[i] = other.data_[i];
+            std::construct_at(data() + i, other[i]);
         size_ = other.size_;
     }
 
-    std::array<T, N> data_;
+    alignas(T) std::byte storage_[N * sizeof(T)];
     std::size_t size_ = 0;
 };
 

@@ -217,17 +217,8 @@ PageTable::translate(VAddr vaddr) const
     if (!pte::present(raw))
         return std::nullopt;
 
-    PageSize size = found_level == 2 ? PageSize::Size1G
-                    : found_level == 1 ? PageSize::Size2M
-                                       : PageSize::Size4K;
-    Translation xlate;
-    xlate.vbase = pageBase(vaddr, size);
-    xlate.pbase = pte::frame(raw);
-    xlate.size = size;
-    xlate.perms = pte::perms(raw);
-    xlate.accessed = pte::accessed(raw);
-    xlate.dirty = pte::dirty(raw);
-    return xlate;
+    const PageSize size = levelPageSize(found_level);
+    return pte::decodeLeaf(raw, pageBase(vaddr, size), size);
 }
 
 std::optional<PAddr>
@@ -277,17 +268,7 @@ PageTable::forEachLeafRec(
         VAddr entry_vbase = vbase + (static_cast<VAddr>(idx)
                                      << levelShift(level));
         if (level == 0 || pte::pageSizeBit(raw)) {
-            PageSize size = level == 2 ? PageSize::Size1G
-                            : level == 1 ? PageSize::Size2M
-                                         : PageSize::Size4K;
-            Translation xlate;
-            xlate.vbase = entry_vbase;
-            xlate.pbase = pte::frame(raw);
-            xlate.size = size;
-            xlate.perms = pte::perms(raw);
-            xlate.accessed = pte::accessed(raw);
-            xlate.dirty = pte::dirty(raw);
-            fn(xlate);
+            fn(pte::decodeLeaf(raw, entry_vbase, levelPageSize(level)));
         } else {
             forEachLeafRec(pte::frame(raw), level - 1, entry_vbase, fn);
         }
@@ -321,9 +302,7 @@ PageTable::auditTable(PAddr table, unsigned level,
         if (level == 0 || pte::pageSizeBit(raw)) {
             MIX_AUDIT_CHECK(report, level <= 2,
                             "superpage leaf at radix level %u", level);
-            const PageSize size = level == 2 ? PageSize::Size1G
-                                  : level == 1 ? PageSize::Size2M
-                                               : PageSize::Size4K;
+            const PageSize size = levelPageSize(level);
             MIX_AUDIT_CHECK(report,
                             (pte::frame(raw) & (pageBytes(size) - 1))
                                 == 0,

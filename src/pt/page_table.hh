@@ -55,6 +55,15 @@ leafLevel(PageSize size)
     return 0;
 }
 
+/** The page size a leaf PTE at radix @p level maps (leafLevel's inverse). */
+constexpr PageSize
+levelPageSize(unsigned level)
+{
+    return level == 2   ? PageSize::Size1G
+           : level == 1 ? PageSize::Size2M
+                        : PageSize::Size4K;
+}
+
 class PageTable
 {
   public:

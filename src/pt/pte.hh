@@ -108,6 +108,20 @@ perms(std::uint64_t raw)
     return Perms{(raw & W) != 0, (raw & U) != 0, (raw & NX) != 0};
 }
 
+/** Decode the leaf entry @p raw, which maps the @p size page at @p vbase. */
+inline Translation
+decodeLeaf(std::uint64_t raw, VAddr vbase, PageSize size)
+{
+    Translation xlate;
+    xlate.vbase = vbase;
+    xlate.pbase = frame(raw);
+    xlate.size = size;
+    xlate.perms = perms(raw);
+    xlate.accessed = accessed(raw);
+    xlate.dirty = dirty(raw);
+    return xlate;
+}
+
 } // namespace pte
 
 } // namespace mixtlb::pt

@@ -26,11 +26,11 @@ Walker::Walker(const PageTable &table, stats::StatGroup *parent,
 }
 
 // mixcheck: hot
-WalkResult
-Walker::walk(VAddr vaddr, bool is_store)
+std::optional<Walker::LeafPte>
+Walker::walkPtes(VAddr vaddr, bool is_store,
+                 InlineVec<PAddr, MaxWalkAccesses> &accesses)
 {
     ++walks_;
-    WalkResult result;
     auto &mem = table_->mem();
 
     PAddr table = table_->root();
@@ -41,15 +41,15 @@ Walker::walk(VAddr vaddr, bool is_store)
     }
     for (unsigned level = start_level + 1; level-- > 0;) {
         PAddr pte_addr = table + 8ULL * levelIndex(vaddr, level);
-        result.accesses.push_back(alignDown(pte_addr, CacheLineBytes));
+        accesses.push_back(alignDown(pte_addr, CacheLineBytes));
         ++memAccesses_;
         std::uint64_t raw = mem.read64(pte_addr);
         if (!pte::present(raw)) {
             ++pageFaults_;
-            return result;
+            return std::nullopt;
         }
         if (level == 0 || pte::pageSizeBit(raw)) {
-            // Leaf: apply the A/D protocol, then decode the line.
+            // Leaf: apply the A/D protocol.
             std::uint64_t updated = raw | pte::A;
             if (is_store) {
                 updated |= pte::D;
@@ -58,14 +58,37 @@ Walker::walk(VAddr vaddr, bool is_store)
             }
             if (updated != raw)
                 mem.write64(pte_addr, updated);
-            fillLine(vaddr, pte_addr, level, result);
-            return result;
+            return LeafPte{pte_addr, level, updated};
         }
         table = pte::frame(raw);
         // Remember this intermediate table for future walks.
         pwc_.insert(level - 1, vaddr, table);
     }
     panic("walk fell off the radix tree");
+}
+
+// mixcheck: hot
+WalkResult
+Walker::walk(VAddr vaddr, bool is_store)
+{
+    WalkResult result;
+    if (auto leaf = walkPtes(vaddr, is_store, result.accesses))
+        fillLine(vaddr, leaf->addr, leaf->level, result);
+    return result;
+}
+
+// mixcheck: hot
+std::optional<Translation>
+Walker::walkLeaf(VAddr vaddr, bool is_store,
+                 InlineVec<PAddr, MaxWalkAccesses> &accesses)
+{
+    auto leaf = walkPtes(vaddr, is_store, accesses);
+    if (!leaf)
+        return std::nullopt;
+    // The scan lines fillLine would charge, without reading them.
+    memAccesses_ += scanLines(leaf->level) - 1;
+    const PageSize size = levelPageSize(leaf->level);
+    return pte::decodeLeaf(leaf->raw, pageBase(vaddr, size), size);
 }
 
 std::optional<WalkResult>
@@ -102,18 +125,14 @@ Walker::fillLine(VAddr vaddr, PAddr pte_addr, unsigned level,
                  WalkResult &result)
 {
     auto &mem = table_->mem();
-    // Superpage leaves may use the wide scan; 4KB fills never do (the
-    // TLB windows for small pages are at most a few entries).
-    const unsigned lines = level > 0 ? scanLines_ : 1;
+    const unsigned lines = scanLines(level);
     const unsigned slots = lines * PtesPerCacheLine;
     const PAddr scan_base =
         alignDown(pte_addr, lines * CacheLineBytes);
     const auto slot =
         static_cast<unsigned>((pte_addr - scan_base) / 8);
     result.leafSlot = slot;
-    result.lineGranularity = level == 2 ? PageSize::Size1G
-                             : level == 1 ? PageSize::Size2M
-                                          : PageSize::Size4K;
+    result.lineGranularity = levelPageSize(level);
     result.line.assign(slots, LinePte{});
 
     // The extra cache lines are read by the (off-critical-path)
@@ -137,20 +156,15 @@ Walker::fillLine(VAddr vaddr, PAddr pte_addr, unsigned level,
 
     for (unsigned i = 0; i < slots; i++) {
         std::uint64_t raw = mem.read64(scan_base + 8ULL * i);
-        LinePte &entry = result.line[i];
         // An entry only describes a leaf at this granularity if it is
         // present and is a page (not a pointer to a lower-level table).
         bool is_leaf = pte::present(raw)
                        && (level == 0 || pte::pageSizeBit(raw));
         if (!is_leaf)
             continue;
-        entry.present = true;
-        entry.xlate.vbase = group_base + i * entry_span;
-        entry.xlate.pbase = pte::frame(raw);
-        entry.xlate.size = result.lineGranularity;
-        entry.xlate.perms = pte::perms(raw);
-        entry.xlate.accessed = pte::accessed(raw);
-        entry.xlate.dirty = pte::dirty(raw);
+        result.line[i] = {true,
+                          pte::decodeLeaf(raw, group_base + i * entry_span,
+                                          result.lineGranularity)};
     }
 
     result.leaf = result.line[slot].xlate;

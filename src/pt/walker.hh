@@ -108,6 +108,18 @@ class Walker
     WalkResult walk(VAddr vaddr, bool is_store);
 
     /**
+     * The same walk as walk() — the same PWC probes and inserts, PTE
+     * reads, A/D writes and counter updates, the wide-scan lines of a
+     * superpage leaf included — for a caller that needs only the leaf:
+     * it appends the walk's accesses to @p accesses and decodes no PTE
+     * line. The nested walker's host (EPT) side uses it.
+     * @return the leaf translation; nullopt on a page fault.
+     */
+    std::optional<Translation>
+    walkLeaf(VAddr vaddr, bool is_store,
+             InlineVec<PAddr, MaxWalkAccesses> &accesses);
+
+    /**
      * Re-read the cache line holding the leaf PTE of @p vaddr without a
      * full walk. Used when a MIX TLB extends an existing coalesced
      * bundle with newly demanded neighbours (Sec. 4.2, "capacity
@@ -138,6 +150,32 @@ class Walker
     stats::Counter &pageFaults_;
     stats::Counter &memAccesses_;
     stats::Counter &dirtyUpdates_;
+
+    /** Where a walk found its leaf, and the entry after the A/D update. */
+    struct LeafPte
+    {
+        PAddr addr;
+        unsigned level;
+        std::uint64_t raw;
+    };
+
+    /**
+     * The walk loop walk() and walkLeaf() share: append each PTE line
+     * read to @p accesses and apply the A/D protocol to the leaf.
+     * @return the leaf; nullopt on a page fault.
+     */
+    std::optional<LeafPte>
+    walkPtes(VAddr vaddr, bool is_store,
+             InlineVec<PAddr, MaxWalkAccesses> &accesses);
+
+    /** PTE cache lines decoded for a leaf at @p level. */
+    unsigned
+    scanLines(unsigned level) const
+    {
+        // Superpage leaves may use the wide scan; 4KB fills never do
+        // (the TLB windows for small pages are at most a few entries).
+        return level > 0 ? scanLines_ : 1;
+    }
 
     /** Decode the leaf line(s) around @p pte_addr into @p result. */
     void fillLine(VAddr vaddr, PAddr pte_addr, unsigned level,

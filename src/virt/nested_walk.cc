@@ -23,18 +23,15 @@ NestedWalkSource::hostWalk(PAddr gpa, bool is_write,
                            InlineVec<PAddr, pt::MaxWalkAccesses> &accesses)
 {
     VAddr hva = vm_.eptHva(gpa);
-    pt::WalkResult host = eptWalker_.walk(hva, is_write);
-    if (host.pageFault()) {
-        // EPT violation: the hypervisor backs the page, then the
-        // hardware re-walks. Both walks' accesses are paid.
-        accesses.append(host.accesses.begin(), host.accesses.end());
-        if (!vm_.hostLeaf(gpa, is_write))
-            return std::nullopt; // host OOM
-        host = eptWalker_.walk(hva, is_write);
-        panic_if(host.pageFault(), "EPT fault after backing");
-    }
-    accesses.append(host.accesses.begin(), host.accesses.end());
-    return host.leaf;
+    if (auto leaf = eptWalker_.walkLeaf(hva, is_write, accesses))
+        return leaf;
+    // EPT violation: the hypervisor backs the page, then the hardware
+    // re-walks. Both walks' accesses are paid.
+    if (!vm_.hostLeaf(gpa, is_write))
+        return std::nullopt; // host OOM
+    auto leaf = eptWalker_.walkLeaf(hva, is_write, accesses);
+    panic_if(!leaf, "EPT fault after backing");
+    return leaf;
 }
 
 pt::Translation
@@ -96,16 +93,9 @@ NestedWalkSource::walk(VAddr gva, bool is_store)
                 guest_mem.write64(gpa_pte, updated);
             raw = updated;
 
-            pt::Translation guest_leaf;
-            PageSize gsize = level == 2 ? PageSize::Size1G
-                             : level == 1 ? PageSize::Size2M
-                                          : PageSize::Size4K;
-            guest_leaf.vbase = pageBase(gva, gsize);
-            guest_leaf.pbase = pt::pte::frame(raw);
-            guest_leaf.size = gsize;
-            guest_leaf.perms = pt::pte::perms(raw);
-            guest_leaf.accessed = true;
-            guest_leaf.dirty = pt::pte::dirty(raw);
+            const PageSize gsize = pt::levelPageSize(level);
+            const pt::Translation guest_leaf =
+                pt::pte::decodeLeaf(raw, pageBase(gva, gsize), gsize);
 
             // Final host walk for the data address.
             PAddr data_gpa = guest_leaf.translate(gva);
@@ -149,6 +139,11 @@ NestedWalkSource::walk(VAddr gva, bool is_store)
                 result.line.assign(slots, pt::LinePte{});
                 const std::uint64_t span = 1ULL << pt::levelShift(level);
                 const VAddr group_base = alignDown(gva, span * slots);
+                // The host leaf of the last backed neighbour (seeded
+                // with the data page's). Nothing faults during the
+                // scan, so the EPT cannot change and any neighbour
+                // inside this leaf would translate to it again.
+                std::optional<pt::Translation> n_host = host_leaf;
                 for (unsigned i = 0; i < slots; i++) {
                     std::uint64_t nraw = guest_mem.read64(line_gpa + 8 * i);
                     bool leaf_slot = pt::pte::present(nraw) &&
@@ -162,8 +157,9 @@ NestedWalkSource::walk(VAddr gva, bool is_store)
                     // page of at least guest size backs it (already
                     // mapped; the coalescing logic never faults memory
                     // in for neighbours).
-                    auto n_host =
-                        vm_.ept().translate(vm_.eptHva(n_gpa));
+                    const VAddr n_hva = vm_.eptHva(n_gpa);
+                    if (!n_host || !n_host->covers(n_hva))
+                        n_host = vm_.ept().translate(n_hva);
                     if (!n_host ||
                         pageShift(n_host->size) < pageShift(gsize)) {
                         continue;
@@ -171,8 +167,7 @@ NestedWalkSource::walk(VAddr gva, bool is_store)
                     auto &entry = result.line[i];
                     entry.present = true;
                     entry.xlate.vbase = n_vbase;
-                    entry.xlate.pbase =
-                        n_host->translate(vm_.eptHva(n_gpa));
+                    entry.xlate.pbase = n_host->translate(n_hva);
                     entry.xlate.size = gsize;
                     entry.xlate.perms.writable =
                         pt::pte::perms(nraw).writable &&

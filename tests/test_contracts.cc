@@ -112,6 +112,12 @@ TEST(ContractsDeathTest, ExpectViolationExitsWithCode1)
                 ::testing::ExitedWithCode(1), "contract violation");
 }
 
+TEST(ContractsDeathTest, MessageLessExpectNamesTheExpression)
+{
+    EXPECT_EXIT(MIX_EXPECT(1 + 1 == 3), ::testing::ExitedWithCode(1),
+                "contract violation: .*\\(1 \\+ 1 == 3\\)");
+}
+
 TEST(Contracts, AuditReportAccumulates)
 {
     contracts::AuditReport report("unit");

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
+#include "common/random.hh"
 #include "mem/phys_mem.hh"
 #include "pt/page_table.hh"
 #include "pt/pte.hh"
@@ -295,6 +297,193 @@ TEST_F(PtFixture, SplitLeafDemotes2mTo4kInPlace)
     EXPECT_FALSE(table.splitLeaf(region + PageBytes2M));
 }
 
+namespace
+{
+
+void
+expectSameTranslation(const Translation &a, const Translation &b)
+{
+    EXPECT_EQ(a.vbase, b.vbase);
+    EXPECT_EQ(a.pbase, b.pbase);
+    EXPECT_EQ(a.size, b.size);
+    EXPECT_EQ(a.perms, b.perms);
+    EXPECT_EQ(a.accessed, b.accessed);
+    EXPECT_EQ(a.dirty, b.dirty);
+}
+
+/** One page table with its walker, built from a seed. */
+struct SeededTable
+{
+    mem::PhysMem mem{256 * MiB};
+    PageTable table{mem};
+    stats::StatGroup root{"test"};
+    Walker walker;
+
+    static constexpr VAddr Window = 2 * GiB;
+    static constexpr std::uint64_t WindowBytes = 64 * MiB;
+
+    SeededTable(std::uint64_t seed, unsigned scan_lines, unsigned pwc)
+        : walker(table, &root, scan_lines, PwcParams{pwc})
+    {
+        // A 1GB leaf, then 2MB regions that are each a 2MB leaf, a
+        // table of 4KB leaves with holes, or a hole.
+        table.map(1 * GiB, 0, PageSize::Size1G);
+        Rng rng(seed);
+        for (VAddr region = Window; region < Window + WindowBytes;
+             region += PageBytes2M) {
+            Perms perms{rng.nextBounded(4) != 0, true,
+                        rng.nextBounded(4) == 0};
+            switch (rng.nextBounded(3)) {
+              case 0:
+                table.map(region, region - Window, PageSize::Size2M,
+                          perms);
+                break;
+              case 1:
+                for (VAddr va = region; va < region + PageBytes2M;
+                     va += PageBytes4K) {
+                    if (rng.nextBounded(10) < 7) {
+                        table.map(va, rng.nextBounded(1 << 20) << 12,
+                                  PageSize::Size4K, perms);
+                    }
+                }
+                break;
+              default:
+                break;
+            }
+        }
+    }
+
+    std::string
+    statDump() const
+    {
+        std::ostringstream os;
+        root.dump(os);
+        return os.str();
+    }
+};
+
+} // anonymous namespace
+
+// walkLeaf() is walk() without the line decode: the same leaf, the
+// same accesses, the same counters and PWC state, the same A/D writes.
+TEST(WalkLeaf, MatchesWalkSideBySide)
+{
+    for (unsigned scan_lines : {1u, 8u}) {
+        for (unsigned pwc : {0u, 16u}) {
+            for (std::uint64_t seed : {1u, 2u, 3u}) {
+                SCOPED_TRACE(testing::Message()
+                             << "scan_lines " << scan_lines << " pwc "
+                             << pwc << " seed " << seed);
+                SeededTable full(seed, scan_lines, pwc);
+                SeededTable leaf_only(seed, scan_lines, pwc);
+                Rng rng(seed + 100);
+                for (int i = 0; i < 3000; i++) {
+                    VAddr va;
+                    switch (rng.nextBounded(10)) {
+                      case 0:
+                        va = 1 * GiB + rng.nextBounded(1 * GiB);
+                        break;
+                      case 1:
+                        va = rng.nextBounded(1ULL << 40);
+                        break;
+                      default:
+                        va = SeededTable::Window
+                             + rng.nextBounded(SeededTable::WindowBytes);
+                        break;
+                    }
+                    const bool store = rng.nextBounded(3) == 0;
+
+                    auto walk = full.walker.walk(va, store);
+                    InlineVec<PAddr, MaxWalkAccesses> accesses;
+                    auto leaf = leaf_only.walker.walkLeaf(va, store,
+                                                          accesses);
+                    ASSERT_EQ(leaf.has_value(), walk.leaf.has_value())
+                        << std::hex << va;
+                    if (leaf)
+                        expectSameTranslation(*leaf, *walk.leaf);
+                    ASSERT_EQ(accesses.size(), walk.accesses.size());
+                    for (std::size_t a = 0; a < accesses.size(); a++)
+                        EXPECT_EQ(accesses[a], walk.accesses[a]);
+                }
+                // Counters (walks, faults, accesses incl. the wide
+                // scan's lines, dirty updates) and the PWC's stats.
+                EXPECT_EQ(full.statDump(), leaf_only.statDump());
+                EXPECT_GT(full.root.value("walker.page_faults"), 0.0);
+                EXPECT_GT(full.root.value("walker.dirty_updates"), 0.0);
+
+                // The same PTE bytes afterwards.
+                std::vector<Translation> a, b;
+                full.table.forEachLeaf(
+                    [&](const Translation &t) { a.push_back(t); });
+                leaf_only.table.forEachLeaf(
+                    [&](const Translation &t) { b.push_back(t); });
+                ASSERT_EQ(a.size(), b.size());
+                for (std::size_t k = 0; k < a.size(); k++) {
+                    auto pa = full.table.leafPteAddr(a[k].vbase);
+                    auto pb = leaf_only.table.leafPteAddr(b[k].vbase);
+                    ASSERT_TRUE(pa && pb);
+                    ASSERT_EQ(full.mem.read64(*pa),
+                              leaf_only.mem.read64(*pb))
+                        << std::hex << a[k].vbase;
+                }
+            }
+        }
+    }
+}
+
+// LinePte as the decoded line holds it: InlineVec copies only live
+// slots and never constructs the rest.
+TEST(InlineVec, LinePteRoundTrip)
+{
+    auto pte = [](unsigned i) {
+        LinePte entry;
+        entry.present = i % 3 != 0;
+        entry.xlate.vbase = 0x40000000ULL + i * PageBytes2M;
+        entry.xlate.pbase = 0x80000000ULL + i * PageBytes2M;
+        entry.xlate.size = PageSize::Size2M;
+        entry.xlate.perms = Perms{i % 2 == 0, true, i % 5 == 0};
+        entry.xlate.accessed = i % 2 == 1;
+        entry.xlate.dirty = i % 4 == 1;
+        return entry;
+    };
+    auto expect_line = [&](const InlineVec<LinePte, MaxLineSlots> &line,
+                           unsigned first, unsigned count) {
+        ASSERT_EQ(line.size(), count);
+        for (unsigned i = 0; i < count; i++) {
+            EXPECT_EQ(line[i].present, pte(first + i).present);
+            expectSameTranslation(line[i].xlate, pte(first + i).xlate);
+        }
+    };
+
+    InlineVec<LinePte, MaxLineSlots> line{};
+    EXPECT_TRUE(line.empty());
+    for (unsigned i = 0; i < 8; i++)
+        line.push_back(pte(i));
+    expect_line(line, 0, 8);
+
+    LinePte more[MaxLineSlots - 8];
+    for (unsigned i = 0; i < MaxLineSlots - 8; i++)
+        more[i] = pte(8 + i);
+    line.append(more, more + MaxLineSlots - 8);
+    expect_line(line, 0, MaxLineSlots);
+
+    InlineVec<LinePte, MaxLineSlots> copy(line);
+    expect_line(copy, 0, MaxLineSlots);
+    line.assign(3, LinePte{});
+    ASSERT_EQ(line.size(), 3u);
+    EXPECT_FALSE(line[2].present);
+    expectSameTranslation(line[2].xlate, Translation{});
+    expect_line(copy, 0, MaxLineSlots); // the copy owns its slots
+
+    InlineVec<LinePte, MaxLineSlots> assigned;
+    assigned.push_back(pte(1));
+    assigned = copy;
+    expect_line(assigned, 0, MaxLineSlots);
+    assigned = line;
+    ASSERT_EQ(assigned.size(), 3u);
+    EXPECT_FALSE(assigned[0].present);
+}
+
 TEST(Pwc, RepromotionShootdownDropsRetiredLeafTable)
 {
     // Demotion creates a 4KB leaf table; re-promotion (or releasing a
@@ -329,8 +518,9 @@ TEST(Pwc, RepromotionShootdownDropsRetiredLeafTable)
 
     // No stale shortcut into the freed table frame survives ...
     auto after = walker.pwc().probe(region + 0x1000);
-    if (after.has_value())
+    if (after.has_value()) {
         EXPECT_NE(after->second, stale->second);
+    }
     // ... and a fresh walk sees the re-promoted superpage.
     auto walk = walker.walk(region + 0x1000, false);
     ASSERT_FALSE(walk.pageFault());
