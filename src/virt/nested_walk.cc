@@ -142,7 +142,10 @@ NestedWalkSource::walk(VAddr gva, bool is_store)
                 // The host leaf of the last backed neighbour (seeded
                 // with the data page's). Nothing faults during the
                 // scan, so the EPT cannot change and any neighbour
-                // inside this leaf would translate to it again.
+                // inside this leaf would translate to it again. It
+                // pays on 4 KB guest lines, whose neighbours usually
+                // share a 2 MB host page; each 2 MB guest neighbour
+                // needs a host leaf of its own.
                 std::optional<pt::Translation> n_host = host_leaf;
                 for (unsigned i = 0; i < slots; i++) {
                     std::uint64_t nraw = guest_mem.read64(line_gpa + 8 * i);
