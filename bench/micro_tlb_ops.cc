@@ -3,7 +3,7 @@
  * Google-benchmark microbenchmarks of the simulator's hot operations:
  * TLB lookups/fills for each design, page walks native and nested,
  * full MMU accesses, and the OS model's physical-memory work (memhog
- * fragmentation, buddy frees).
+ * fragmentation, buddy frees) and lifecycle scans (cold reclaim).
  * These guard the simulator's own performance (host ns/op), not the
  * modelled cycles.
  */
@@ -19,6 +19,7 @@
 #include "mem/phys_mem.hh"
 #include "os/memhog.hh"
 #include "os/memory_manager.hh"
+#include "os/process.hh"
 #include "pt/page_table.hh"
 #include "pt/walker.hh"
 #include "sim/configs.hh"
@@ -231,6 +232,42 @@ BM_BuddyFreeMerge(benchmark::State &state)
                             * static_cast<std::int64_t>(Frames));
 }
 BENCHMARK(BM_BuddyFreeMerge)->Unit(benchmark::kMillisecond);
+
+/**
+ * One cold-page reclaim over 64 demoted 2MB regions whose pages are
+ * all referenced and clean: the not-accessed pass scans every slot of
+ * every region and finds nothing, then the clean pass drops the first
+ * page of the lowest region. The dropped page is refaulted and marked
+ * referenced again outside the timed region.
+ */
+void
+BM_ReclaimColdScan(benchmark::State &state)
+{
+    constexpr std::uint64_t Regions = 64;
+    mem::PhysMem mem(512ULL << 20);
+    stats::StatGroup root("bm");
+    os::MemoryManager mm(mem, &root);
+    os::Process proc(mm, os::ProcessParams{}, &root);
+    const VAddr base = proc.mmap(Regions * PageBytes2M);
+    for (std::uint64_t r = 0; r < Regions; r++)
+        proc.touch(base + r * PageBytes2M);
+    if (proc.demoteStorm(Regions) != Regions) {
+        state.SkipWithError("could not demote every region");
+        return;
+    }
+    for (VAddr va = base; va < base + Regions * PageBytes2M;
+         va += PageBytes4K) {
+        proc.pageTable().setAccessed(va);
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(proc.reclaimMemory(1));
+        state.PauseTiming();
+        proc.touch(base);
+        proc.pageTable().setAccessed(base);
+        state.ResumeTiming();
+    }
+}
+BENCHMARK(BM_ReclaimColdScan)->Unit(benchmark::kMicrosecond);
 
 } // anonymous namespace
 

@@ -1,6 +1,7 @@
 #include "process.hh"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 #include <vector>
 
@@ -28,6 +29,7 @@ Process::Process(MemoryManager &mm, const ProcessParams &params,
                  stats::StatGroup *parent)
     : mm_(mm), params_(params), pageTable_(mm.phys()),
       nextMmap_(alignUp(params.mmapBase, PageBytes1G)),
+      regionBase_(nextMmap_),
       stats_(params.name, parent),
       faults4k_(stats_.addScalar("faults_4k", "4KB page faults")),
       faults2m_(stats_.addScalar("faults_2m", "2MB page faults")),
@@ -101,7 +103,26 @@ Process::mmap(std::uint64_t bytes)
     std::uint64_t span = alignUp(bytes, PageBytes1G);
     nextMmap_ += span;
     vmas_.push_back(Vma{base, bytes});
+    // Spans are whole 1GB regions, so the 2MB-indexed sizes divide
+    // evenly.
+    const std::size_t regions = regionIndex(nextMmap_);
+    regions_.resize(regions);
+    regions1g_.resize(regions / Frames2M);
+    for (RegionBits *bits : {&reserved_, &super2m_, &demoted_})
+        bits->words.resize(regions / 64);
+    super1g_.words.resize((regions1g_.size() + 63) / 64);
     return base;
+}
+
+std::size_t
+Process::RegionBits::next(std::size_t from) const
+{
+    std::uint64_t mask = ~0ULL << (from & 63);
+    for (std::size_t w = from / 64; w < words.size(); w++, mask = ~0ULL) {
+        if (words[w] & mask)
+            return w * 64 + std::countr_zero(words[w] & mask);
+    }
+    return None;
 }
 
 bool
@@ -131,23 +152,22 @@ Process::fireInvalidate(VAddr vbase, PageSize size)
 std::uint64_t
 Process::residentBytes(PageSize size) const
 {
+    // Derived from the region records, which account for every leaf.
+    std::uint64_t pages = 0;
     switch (size) {
       case PageSize::Size4K:
-        return resident4k_ * PageBytes4K;
+        for (std::size_t i = 0; i < regions_.size(); i++)
+            pages += regions_[i].small
+                     + (reserved_.has(i) ? regions_[i].touched : 0);
+        break;
       case PageSize::Size2M:
-        return resident2m_ * PageBytes2M;
+        pages = super2m_.count;
+        break;
       case PageSize::Size1G:
-        return resident1g_ * PageBytes1G;
+        pages = super1g_.count;
+        break;
     }
-    return 0;
-}
-
-std::uint64_t
-Process::residentBytes() const
-{
-    return residentBytes(PageSize::Size4K)
-           + residentBytes(PageSize::Size2M)
-           + residentBytes(PageSize::Size1G);
+    return pages * pageBytes(size);
 }
 
 TouchResult
@@ -218,7 +238,9 @@ Process::faultSmall(VAddr vaddr)
     ownedFrames_.emplace(*pfn, 0);
     pageTable_.map(vbase, *pfn << PageShift4K, PageSize::Size4K);
     ++faults4k_;
-    ++resident4k_;
+    Region2m &rec = region2m(vbase);
+    rec.small++;
+    rec.hasSmall = true;
     return TouchResult::Faulted;
 }
 
@@ -229,7 +251,7 @@ Process::faultThp(VAddr vaddr)
     // fully inside the VMA and no 4KB page in it is already mapped.
     VAddr region = pageBase(vaddr, PageSize::Size2M);
     bool eligible = inVma(region) && inVma(region + PageBytes2M - 1)
-                    && smallIn2m_.find(region) == smallIn2m_.end();
+                    && !region2m(region).hasSmall;
     if (eligible) {
         const std::uint64_t compactions = mm_.compactionSuccessCount();
         auto pfn = mm_.allocContiguous(mem::Order2M,
@@ -241,16 +263,12 @@ Process::faultThp(VAddr vaddr)
             ownedFrames_.emplace(*pfn, mem::Order2M);
             pageTable_.map(region, *pfn << PageShift4K, PageSize::Size2M);
             ++faults2m_;
-            ++resident2m_;
-            residentSuper_.emplace(region, PageSize::Size2M);
+            super2m_.set(regionIndex(region));
             return TouchResult::Faulted;
         }
         ++thpFallbacks_;
     }
-    auto result = faultSmall(vaddr);
-    if (result == TouchResult::Faulted)
-        smallIn2m_[region]++;
-    return result;
+    return faultSmall(vaddr);
 }
 
 TouchResult
@@ -258,44 +276,38 @@ Process::faultPool2m(VAddr vaddr)
 {
     VAddr region = pageBase(vaddr, PageSize::Size2M);
     bool eligible = inVma(region) && inVma(region + PageBytes2M - 1)
-                    && smallIn2m_.find(region) == smallIn2m_.end();
+                    && !region2m(region).hasSmall;
     if (eligible && !pool2m_.empty()) {
         Pfn pfn = pool2m_.front();
         pool2m_.pop_front();
         ownedFrames_.emplace(pfn, mem::Order2M);
         pageTable_.map(region, pfn << PageShift4K, PageSize::Size2M);
         ++faults2m_;
-        ++resident2m_;
-        residentSuper_.emplace(region, PageSize::Size2M);
+        super2m_.set(regionIndex(region));
         return TouchResult::Faulted;
     }
-    auto result = faultSmall(vaddr);
-    if (result == TouchResult::Faulted)
-        smallIn2m_[region]++;
-    return result;
+    return faultSmall(vaddr);
 }
 
 TouchResult
 Process::faultPool1g(VAddr vaddr)
 {
     VAddr region = pageBase(vaddr, PageSize::Size1G);
+    Region1g &rec = region1g(region);
     bool eligible = inVma(region) && inVma(region + PageBytes1G - 1)
-                    && subIn1g_.find(region) == subIn1g_.end();
+                    && !rec.hasSub;
     if (eligible && !pool1g_.empty()) {
         Pfn pfn = pool1g_.front();
         pool1g_.pop_front();
         ownedFrames_.emplace(pfn, mem::Order1G);
         pageTable_.map(region, pfn << PageShift4K, PageSize::Size1G);
         ++faults1g_;
-        ++resident1g_;
-        residentSuper_.emplace(region, PageSize::Size1G);
+        super1g_.set(regionIndex(region) / Frames2M);
         return TouchResult::Faulted;
     }
     auto result = faultSmall(vaddr);
-    if (result == TouchResult::Faulted) {
-        subIn1g_[region]++;
-        smallIn2m_[pageBase(vaddr, PageSize::Size2M)]++;
-    }
+    if (result == TouchResult::Faulted)
+        rec = {.sub = rec.sub + 1, .hasSub = true};
     return result;
 }
 
@@ -308,47 +320,39 @@ Process::faultReservation(VAddr vaddr)
     // region is promoted to a superpage once every slot is mapped.
     VAddr region = pageBase(vaddr, PageSize::Size2M);
     VAddr vbase = pageBase(vaddr, PageSize::Size4K);
-    auto it = reservations_.find(region);
-    if (it == reservations_.end()) {
-        bool eligible = inVma(region) && inVma(region + PageBytes2M - 1)
-                        && smallIn2m_.find(region) == smallIn2m_.end();
-        if (eligible) {
-            const std::uint64_t compactions = mm_.compactionSuccessCount();
-            auto block = mm_.allocContiguous(
-                mem::Order2M, mem::FrameUse::AppHuge, params_.thpDefrag);
-            if (block) {
-                if (mm_.compactionSuccessCount() > compactions)
-                    ++compactionRescues_;
-                ownedFrames_.emplace(*block, mem::Order2M);
-                it = reservations_
-                         .emplace(region, Reservation{*block, 0})
-                         .first;
-            }
+    const std::size_t index = regionIndex(region);
+    Region2m &rec = regions_[index];
+    if (!reserved_.has(index)) {
+        if (!inVma(region) || !inVma(region + PageBytes2M - 1)
+            || rec.hasSmall) {
+            return faultSmall(vaddr);
         }
-        if (it == reservations_.end()) {
-            auto result = faultSmall(vaddr);
-            if (result == TouchResult::Faulted)
-                smallIn2m_[region]++;
-            return result;
-        }
+        const std::uint64_t compactions = mm_.compactionSuccessCount();
+        auto block = mm_.allocContiguous(
+            mem::Order2M, mem::FrameUse::AppHuge, params_.thpDefrag);
+        if (!block)
+            return faultSmall(vaddr);
+        if (mm_.compactionSuccessCount() > compactions)
+            ++compactionRescues_;
+        ownedFrames_.emplace(*block, mem::Order2M);
+        rec = {.block = *block};
+        reserved_.set(index);
     }
 
     auto slot = (vbase - region) >> PageShift4K;
-    pageTable_.map(vbase,
-                   (it->second.block + slot) << PageShift4K,
+    pageTable_.map(vbase, (rec.block + slot) << PageShift4K,
                    PageSize::Size4K);
     ++faults4k_;
-    ++resident4k_;
-    it->second.touched++;
-    if (it->second.touched == Frames2M) {
-        promoteReservation(region, it->second);
-        reservations_.erase(it);
+    rec.touched++;
+    if (rec.touched == Frames2M) {
+        promoteReservation(region, rec.block);
+        reserved_.set(index, false);
     }
     return TouchResult::Faulted;
 }
 
 void
-Process::promoteReservation(VAddr region, const Reservation &res)
+Process::promoteReservation(VAddr region, Pfn block)
 {
     // Swap 512 4KB PTEs for one 2MB PTE. The 4KB translations change
     // (size-wise), so each must be shot down from the TLBs.
@@ -360,12 +364,10 @@ Process::promoteReservation(VAddr region, const Reservation &res)
     }
     // Retire the (now empty) PT so the PD slot can hold the leaf.
     pageTable_.clearLevelEntry(region, pt::leafLevel(PageSize::Size2M));
-    pageTable_.map(region, res.block << PageShift4K, PageSize::Size2M);
+    pageTable_.map(region, block << PageShift4K, PageSize::Size2M);
     faults4k_ += -static_cast<double>(Frames2M);
     ++faults2m_;
-    resident4k_ -= Frames2M;
-    ++resident2m_;
-    residentSuper_.emplace(region, PageSize::Size2M);
+    super2m_.set(regionIndex(region));
 }
 
 bool
@@ -392,17 +394,15 @@ Process::demote2m(VAddr region)
     // every TLB level (mirror copies, coalesced runs straddling the
     // window) and the PWC paths through the region.
     fireInvalidate(region, PageSize::Size2M);
-    // The region now holds 4KB mappings; the side-table entry also
-    // keeps superpage re-faults from colliding with the new mid-level
-    // table, so it must outlive the demotion even at count zero.
-    smallIn2m_[region] = Frames2M;
-    auto sub = subIn1g_.find(pageBase(region, PageSize::Size1G));
-    if (sub != subIn1g_.end())
-        sub->second += Frames2M - 1; // one 2MB leaf became 512 4KB ones
-    resident2m_--;
-    resident4k_ += Frames2M;
-    residentSuper_.erase(region);
-    demoted2m_.insert(region);
+    // The region now holds 4KB mappings; its fallback entry also keeps
+    // superpage re-faults from colliding with the new mid-level table,
+    // so it must outlive the demotion even at count zero.
+    region2m(region) = {.small = Frames2M, .hasSmall = true};
+    Region1g &rec1g = region1g(region);
+    if (rec1g.hasSub)
+        rec1g.sub += Frames2M - 1; // one 2MB leaf became 512 4KB ones
+    super2m_.set(regionIndex(region), false);
+    demoted_.set(regionIndex(region));
     ++demotions_;
     return true;
 }
@@ -424,16 +424,12 @@ Process::demote1g(VAddr region)
         ownedFrames_.emplace(base + i * Frames2M, mem::Order2M);
     fireInvalidate(region, PageSize::Size1G);
     // 512 2MB leaves now live under the region (their frames stay
-    // AppHuge); the side-table entry blocks a 1GB re-fault over the
-    // new mid-level table.
-    subIn1g_[region] = Frames2M;
-    resident1g_--;
-    resident2m_ += Frames2M;
-    residentSuper_.erase(region);
-    for (std::uint64_t i = 0; i < Frames2M; i++) {
-        residentSuper_.emplace(region + i * PageBytes2M,
-                               PageSize::Size2M);
-    }
+    // AppHuge); the sub-1GB entry blocks a 1GB re-fault over the new
+    // mid-level table.
+    region1g(region) = {.sub = Frames2M, .hasSub = true};
+    super1g_.set(regionIndex(region) / Frames2M, false);
+    for (std::uint64_t i = 0; i < Frames2M; i++)
+        super2m_.set(regionIndex(region + i * PageBytes2M));
     ++demotions_;
     return true;
 }
@@ -443,12 +439,10 @@ Process::demoteOne()
 {
     // Prefer a 2MB leaf: its 4KB children are immediately reclaimable,
     // while a 1GB demotion only yields more 2MB leaves.
-    for (const auto &[region, size] : residentSuper_) {
-        if (size == PageSize::Size2M)
-            return demote2m(region);
-    }
-    if (!residentSuper_.empty())
-        return demote1g(residentSuper_.begin()->first);
+    if (super2m_.count > 0)
+        return demote2m(regionAddr(super2m_.next(0)));
+    if (super1g_.count > 0)
+        return demote1g(regionAddr(super1g_.next(0) * Frames2M));
     return false;
 }
 
@@ -477,64 +471,65 @@ Process::dropSmallPage(VAddr vbase, Pfn pfn)
     auto erased = ownedFrames_.erase(pfn);
     panic_if(erased == 0, "reclaim of a frame we do not own");
     mm_.phys().freeFrames(pfn, 0);
-    auto small = smallIn2m_.find(pageBase(vbase, PageSize::Size2M));
-    panic_if(small == smallIn2m_.end() || small->second == 0,
+    Region2m &rec = region2m(vbase);
+    panic_if(!rec.hasSmall || rec.small == 0,
              "reclaimed page missing from the 4KB side table");
-    small->second--; // entry stays, even at zero: see demote2m()
-    auto sub = subIn1g_.find(pageBase(vbase, PageSize::Size1G));
-    if (sub != subIn1g_.end())
-        sub->second--;
-    resident4k_--;
+    rec.small--; // entry stays, even at zero: see demote2m()
+    Region1g &rec1g = region1g(vbase);
+    if (rec1g.hasSub)
+        rec1g.sub--;
     ++reclaims_;
 }
 
 void
 Process::releaseEmptyRegion(VAddr region)
 {
-    auto small = smallIn2m_.find(region);
-    panic_if(small == smallIn2m_.end() || small->second != 0,
+    Region2m &rec = region2m(region);
+    panic_if(!rec.hasSmall || rec.small != 0,
              "releasing a region that still has mapped pages");
     pageTable_.clearLevelEntry(region, pt::leafLevel(PageSize::Size2M));
     // The PWC may hold the just-retired leaf table; shoot it down
     // before reclaimRetiredFrames() can free the frame.
     fireInvalidate(region, PageSize::Size2M);
-    smallIn2m_.erase(small);
-    demoted2m_.erase(region);
+    rec.hasSmall = false;
+    demoted_.set(regionIndex(region), false);
 }
 
 std::uint64_t
 Process::reclaimColdPages(std::uint64_t want)
 {
     std::uint64_t freed = 0;
-    // Iterate over a snapshot: fully drained regions are released (and
-    // erased from demoted2m_) as we go.
-    std::vector<VAddr> regions(demoted2m_.begin(), demoted2m_.end());
+    const mem::PhysMem &phys = mm_.phys();
     // Three escalating passes, like reclaim advancing from the
     // inactive list to the active list: not-accessed pages first, then
     // clean ones, then anything. No swap is modeled, so dropping a hot
-    // page is degradation (it will refault), never data loss.
+    // page is degradation (it will refault), never data loss. Reclaim
+    // demotes nothing, so each ascending pass sees the demoted regions
+    // of the call's start, minus those drained and released since.
     for (int pass = 0; pass < 3 && freed < want; pass++) {
-        for (VAddr region : regions) {
-            if (freed >= want)
-                break;
-            if (demoted2m_.find(region) == demoted2m_.end())
-                continue; // released in an earlier pass
+        for (std::size_t index = demoted_.next(0);
+             index != RegionBits::None && freed < want;
+             index = demoted_.next(index + 1)) {
+            const VAddr region = regionAddr(index);
+            // A demoted region keeps its leaf table until released, and
+            // dropping a page only clears that page's slot in it.
+            const auto table = pageTable_.leafTable(region);
+            panic_if(!table, "demoted region 0x%llx has no leaf table",
+                     (unsigned long long)region);
             for (std::uint64_t slot = 0;
                  slot < Frames2M && freed < want; slot++) {
-                const VAddr vbase = region + slot * PageBytes4K;
-                auto x = pageTable_.translate(vbase);
-                if (!x)
+                const std::uint64_t raw = phys.read64(*table + 8 * slot);
+                if (!pt::pte::present(raw))
                     continue;
-                if (pass == 0 && x->accessed)
+                if (pass == 0 && pt::pte::accessed(raw))
                     continue;
-                if (pass == 1 && x->dirty)
+                if (pass == 1 && pt::pte::dirty(raw))
                     continue;
-                dropSmallPage(vbase,
-                              static_cast<Pfn>(x->pbase >> PageShift4K));
+                dropSmallPage(region + slot * PageBytes4K,
+                              pt::pte::frame(raw) >> PageShift4K);
                 freed++;
             }
-            auto small = smallIn2m_.find(region);
-            if (small != smallIn2m_.end() && small->second == 0)
+            if (regions_[index].small == 0)
                 releaseEmptyRegion(region);
         }
     }
@@ -544,18 +539,19 @@ Process::reclaimColdPages(std::uint64_t want)
 std::uint64_t
 Process::abandonReservation(VAddr region)
 {
-    auto it = reservations_.find(region);
-    panic_if(it == reservations_.end(),
+    const std::size_t index = regionIndex(region);
+    panic_if(!reserved_.has(index),
              "abandoning a region with no reservation");
-    const Pfn block = it->second.block;
-    const std::uint32_t touched = it->second.touched;
-    auto erased = ownedFrames_.erase(block);
+    Region2m &rec = regions_[index];
+    auto erased = ownedFrames_.erase(rec.block);
     panic_if(erased == 0, "reservation block we do not own");
+    const auto table = pageTable_.leafTable(region);
     std::uint64_t freed = 0;
     for (std::uint64_t slot = 0; slot < Frames2M; slot++) {
         const VAddr vbase = region + slot * PageBytes4K;
-        const Pfn pfn = block + slot;
-        if (pageTable_.translate(vbase)) {
+        const Pfn pfn = rec.block + slot;
+        if (table
+            && pt::pte::present(mm_.phys().read64(*table + 8 * slot))) {
             // A touched slot keeps its frame and its exact translation
             // (so no shootdown); it just becomes an ordinary movable
             // 4KB page.
@@ -567,13 +563,13 @@ Process::abandonReservation(VAddr region)
             freed++;
         }
     }
-    panic_if(freed != Frames2M - touched,
+    panic_if(freed != Frames2M - rec.touched,
              "reservation slack disagrees with its touched count");
-    // The kept pages now count as fallback 4KB pages; the side-table
+    // The kept pages now count as fallback 4KB pages; the fallback
     // entry also blocks a fresh reservation from colliding with the
     // live mid-level table.
-    smallIn2m_[region] = touched;
-    reservations_.erase(it);
+    rec = {.small = rec.touched, .hasSmall = true};
+    reserved_.set(index, false);
     reclaims_ += freed;
     return freed;
 }
@@ -586,19 +582,15 @@ Process::reclaimMemory(std::uint64_t want)
     std::uint64_t freed = 0;
     // 1. Reservation slack: real memory freed without one shootdown.
     //    Abandon the reservation with the most untouched slots first.
-    while (freed < want && !reservations_.empty()) {
-        VAddr victim = 0;
-        std::uint32_t victim_touched = 0;
-        bool have = false;
-        for (const auto &[region, res] : reservations_) {
-            if (!have || res.touched < victim_touched ||
-                (res.touched == victim_touched && region < victim)) {
-                victim = region;
-                victim_touched = res.touched;
-                have = true;
-            }
+    //    An ascending scan keeps the lowest address among ties.
+    while (freed < want && reserved_.count > 0) {
+        std::size_t victim = reserved_.next(0);
+        for (std::size_t index = reserved_.next(victim + 1);
+             index != RegionBits::None; index = reserved_.next(index + 1)) {
+            if (regions_[index].touched < regions_[victim].touched)
+                victim = index;
         }
-        freed += abandonReservation(victim);
+        freed += abandonReservation(regionAddr(victim));
     }
     // 2. Cold pages from regions demoted earlier.
     if (freed < want)
@@ -637,18 +629,20 @@ Process::tryRepromote2m(VAddr region)
     // Survey the region: mapped slots must all still be 4KB leaves;
     // reclaimed holes are tolerated (they become backed by the new
     // superpage, as khugepaged's max_ptes_none allows).
+    const auto table = pageTable_.leafTable(region);
+    if (!table)
+        return false;
+    const mem::PhysMem &phys = mm_.phys();
     Pfn base = 0;
     bool contiguous = true;
     std::uint64_t mapped = 0;
     for (std::uint64_t i = 0; i < Frames2M; i++) {
-        auto x = pageTable_.translate(region + i * PageBytes4K);
-        if (!x) {
+        const std::uint64_t raw = phys.read64(*table + 8 * i);
+        if (!pt::pte::present(raw)) {
             contiguous = false;
             continue;
         }
-        if (x->size != PageSize::Size4K)
-            return false;
-        const Pfn pfn = static_cast<Pfn>(x->pbase >> PageShift4K);
+        const Pfn pfn = pt::pte::frame(raw) >> PageShift4K;
         if (mapped == 0 && i == 0) {
             base = pfn;
             contiguous = (base & (Frames2M - 1)) == 0;
@@ -673,12 +667,14 @@ Process::tryRepromote2m(VAddr region)
     }
     for (std::uint64_t i = 0; i < Frames2M; i++) {
         const VAddr vbase = region + i * PageBytes4K;
-        // Re-translate: the collapse allocation may have compacted our
-        // own movable frames to new homes.
-        auto x = pageTable_.translate(vbase);
-        if (!x)
+        // Re-read: the collapse allocation may have compacted our own
+        // movable frames to new homes. relocate() rewrites their PTEs
+        // in place, and the leaf table itself (a PageTable frame) never
+        // moves.
+        const std::uint64_t raw = phys.read64(*table + 8 * i);
+        if (!pt::pte::present(raw))
             continue; // hole: the new superpage will back it
-        const Pfn pfn = static_cast<Pfn>(x->pbase >> PageShift4K);
+        const Pfn pfn = pt::pte::frame(raw) >> PageShift4K;
         bool removed = pageTable_.unmap(vbase);
         panic_if(!removed, "re-promotion lost a mapped slot");
         mm_.unregisterMovable(pfn);
@@ -698,14 +694,12 @@ Process::tryRepromote2m(VAddr region)
                                mem::FrameUse::AppHuge);
     }
     ownedFrames_.emplace(dest, mem::Order2M);
-    smallIn2m_.erase(region);
-    auto sub = subIn1g_.find(pageBase(region, PageSize::Size1G));
-    if (sub != subIn1g_.end())
-        sub->second -= mapped - 1; // `mapped` 4KB leaves became one 2MB
-    resident4k_ -= mapped;
-    resident2m_++;
-    demoted2m_.erase(region);
-    residentSuper_.emplace(region, PageSize::Size2M);
+    region2m(region) = {};
+    Region1g &rec1g = region1g(region);
+    if (rec1g.hasSub)
+        rec1g.sub -= mapped - 1; // `mapped` 4KB leaves became one 2MB
+    demoted_.set(regionIndex(region), false);
+    super2m_.set(regionIndex(region));
     ++repromotions_;
     return true;
 }
@@ -713,7 +707,7 @@ Process::tryRepromote2m(VAddr region)
 void
 Process::maintain()
 {
-    if (demoted2m_.empty())
+    if (demoted_.count == 0)
         return;
     if (repromoteDefer_ > 0) {
         repromoteDefer_--;
@@ -729,12 +723,11 @@ Process::maintain()
     // Bounded work per call: a few candidates, lowest address first.
     unsigned promoted = 0;
     unsigned examined = 0;
-    auto it = demoted2m_.begin();
-    while (it != demoted2m_.end() && examined < 4) {
-        const VAddr region = *it;
-        ++it; // advance before tryRepromote2m erases the region
+    for (std::size_t index = demoted_.next(0);
+         index != RegionBits::None && examined < 4;
+         index = demoted_.next(index + 1)) {
         examined++;
-        if (tryRepromote2m(region))
+        if (tryRepromote2m(regionAddr(index)))
             promoted++;
     }
     if (promoted == 0) {
@@ -752,14 +745,15 @@ Process::audit(contracts::AuditReport &report) const
 {
     pageTable_.audit(report);
 
-    // One leaf walk accumulates everything the fault counters and the
-    // THS/reservation side tables claim about the mapped state.
-    std::uint64_t bytes4k = 0;
-    std::uint64_t bytes2m = 0;
-    std::uint64_t bytes1g = 0;
-    std::unordered_map<VAddr, std::uint32_t> small_in_2m;
-    std::unordered_map<VAddr, std::uint32_t> sub_in_1g;
-    std::map<VAddr, PageSize> super;
+    // One leaf walk tallies what the tree maps per size and per region
+    // record. A leaf outside the records is outside every VMA too, so
+    // the stray-leaf check reports it.
+    std::uint64_t bytes[NumPageSizes] = {};
+    std::uint64_t super_leaves = 0;
+    std::vector<std::uint32_t> small_in_2m(regions_.size());
+    std::vector<std::uint32_t> sub_in_1g(regions1g_.size());
+    /** The superpage leaf based at each 2MB region (Size4K: none). */
+    std::vector<PageSize> super(regions_.size(), PageSize::Size4K);
 
     std::vector<std::pair<Pfn, std::uint64_t>> owned; // [base, end)
     owned.reserve(ownedFrames_.size());
@@ -769,24 +763,23 @@ Process::audit(contracts::AuditReport &report) const
 
     std::uint64_t stray_leaves = 0;
     pageTable_.forEachLeaf([&](const pt::Translation &xlate) {
-        const std::uint64_t bytes = pageBytes(xlate.size);
-        switch (xlate.size) {
-          case PageSize::Size4K:
-            bytes4k += bytes;
-            small_in_2m[pageBase(xlate.vbase, PageSize::Size2M)]++;
-            break;
-          case PageSize::Size2M: bytes2m += bytes; break;
-          case PageSize::Size1G: bytes1g += bytes; break;
+        const std::uint64_t leaf_bytes = pageBytes(xlate.size);
+        bytes[static_cast<unsigned>(xlate.size)] += leaf_bytes;
+        super_leaves += xlate.size != PageSize::Size4K;
+        const std::size_t index = regionIndex(xlate.vbase);
+        if (xlate.vbase >= regionBase_ && index < regions_.size()) {
+            if (xlate.size == PageSize::Size4K)
+                small_in_2m[index]++;
+            else
+                super[index] = xlate.size;
+            if (xlate.size != PageSize::Size1G)
+                sub_in_1g[index / Frames2M]++;
         }
-        if (xlate.size != PageSize::Size1G)
-            sub_in_1g[pageBase(xlate.vbase, PageSize::Size1G)]++;
-        if (xlate.size != PageSize::Size4K)
-            super.emplace(xlate.vbase, xlate.size);
 
         const bool in_vma = inVma(xlate.vbase)
-                            && inVma(xlate.vbase + bytes - 1);
+                            && inVma(xlate.vbase + leaf_bytes - 1);
         const Pfn first = xlate.pbase >> PageShift4K;
-        const std::uint64_t frames = bytes >> PageShift4K;
+        const std::uint64_t frames = leaf_bytes >> PageShift4K;
         auto it = std::upper_bound(
             owned.begin(), owned.end(), first,
             [](Pfn v, const auto &iv) { return v < iv.first; });
@@ -810,125 +803,102 @@ Process::audit(contracts::AuditReport &report) const
                     "%llu further stray leaves",
                     (unsigned long long)(stray_leaves - 8));
 
-    MIX_AUDIT_CHECK(report, bytes4k == residentBytes(PageSize::Size4K),
-                    "tree holds %llu 4KB-mapped bytes but the "
-                    "residency counters say %llu",
-                    (unsigned long long)bytes4k,
-                    (unsigned long long)residentBytes(PageSize::Size4K));
-    MIX_AUDIT_CHECK(report, bytes2m == residentBytes(PageSize::Size2M),
-                    "tree holds %llu 2MB-mapped bytes but the "
-                    "residency counters say %llu",
-                    (unsigned long long)bytes2m,
-                    (unsigned long long)residentBytes(PageSize::Size2M));
-    MIX_AUDIT_CHECK(report, bytes1g == residentBytes(PageSize::Size1G),
-                    "tree holds %llu 1GB-mapped bytes but the "
-                    "residency counters say %llu",
-                    (unsigned long long)bytes1g,
-                    (unsigned long long)residentBytes(PageSize::Size1G));
-
-    // The side tables are unordered; walk them in sorted key order so
-    // the audit report is byte-identical regardless of insertion order.
-    std::vector<VAddr> regions2m;
-    regions2m.reserve(smallIn2m_.size());
-    for (const auto &kv : smallIn2m_)
-        regions2m.push_back(kv.first);
-    std::sort(regions2m.begin(), regions2m.end());
-
-    // A smallIn2m_ entry blocks superpage use for its region, and its
-    // count is exactly the fallback 4KB pages mapped there (never the
-    // reservation-backed ones, which keep their own counter).
-    for (VAddr region : regions2m) {
-        const std::uint32_t count = smallIn2m_.at(region);
-        auto found = small_in_2m.find(region);
-        const std::uint32_t actual =
-            found == small_in_2m.end() ? 0 : found->second;
-        MIX_AUDIT_CHECK(report, actual == count,
-                        "2MB region 0x%llx claims %u fallback 4KB "
-                        "pages but the tree holds %u",
-                        (unsigned long long)region, count, actual);
-        MIX_AUDIT_CHECK(report,
-                        reservations_.find(region)
-                            == reservations_.end(),
-                        "2MB region 0x%llx has both fallback 4KB "
-                        "pages and an active reservation",
-                        (unsigned long long)region);
-    }
-    std::vector<VAddr> regions1g;
-    regions1g.reserve(subIn1g_.size());
-    for (const auto &kv : subIn1g_)
-        regions1g.push_back(kv.first);
-    std::sort(regions1g.begin(), regions1g.end());
-    for (VAddr region : regions1g) {
-        const std::uint32_t count = subIn1g_.at(region);
-        auto found = sub_in_1g.find(region);
-        const std::uint32_t actual =
-            found == sub_in_1g.end() ? 0 : found->second;
-        MIX_AUDIT_CHECK(report, actual == count,
-                        "1GB region 0x%llx claims %u sub-1GB pages "
-                        "but the tree holds %u",
-                        (unsigned long long)region, count, actual);
-    }
-    std::vector<VAddr> reserved;
-    reserved.reserve(reservations_.size());
-    for (const auto &kv : reservations_)
-        reserved.push_back(kv.first);
-    std::sort(reserved.begin(), reserved.end());
-    for (VAddr region : reserved) {
-        const auto &res = reservations_.at(region);
-        MIX_AUDIT_CHECK(report, res.touched < Frames2M,
-                        "reservation at 0x%llx is fully built (%u "
-                        "slots) but was never promoted",
-                        (unsigned long long)region, res.touched);
-        auto found = small_in_2m.find(region);
-        const std::uint32_t actual =
-            found == small_in_2m.end() ? 0 : found->second;
-        MIX_AUDIT_CHECK(report, actual == res.touched,
-                        "reservation at 0x%llx touched %u slots but "
-                        "the tree holds %u 4KB pages there",
-                        (unsigned long long)region, res.touched,
-                        actual);
-        auto own = ownedFrames_.find(res.block);
-        MIX_AUDIT_CHECK(report,
-                        own != ownedFrames_.end()
-                            && own->second == mem::Order2M,
-                        "reserved block 0x%llx is not owned as an "
-                        "order-%u allocation",
-                        (unsigned long long)res.block, mem::Order2M);
+    for (PageSize size :
+         {PageSize::Size4K, PageSize::Size2M, PageSize::Size1G}) {
+        const std::uint64_t tree = bytes[static_cast<unsigned>(size)];
+        MIX_AUDIT_CHECK(report, tree == residentBytes(size),
+                        "tree holds %llu %sB-mapped bytes but the "
+                        "residency counters say %llu",
+                        (unsigned long long)tree, pageSizeName(size),
+                        (unsigned long long)residentBytes(size));
     }
 
-    // Lifecycle side tables: the superpage registry mirrors the tree's
-    // superpage leaves exactly, and every demoted region really is
-    // split (no leaf at the region, a live 4KB side-table entry, and no
-    // reservation squatting on the same mid-level table).
-    MIX_AUDIT_CHECK(report, super.size() == residentSuper_.size(),
+    // The records against the tree, both ways. A fallback count is
+    // exactly the 4KB pages mapped outside a reservation, and every 4KB
+    // leaf is one or the other. A demoted region really is split: no
+    // leaf at the region, a live fallback entry, and no reservation
+    // squatting on the same mid-level table.
+    const std::uint64_t recorded_super = super2m_.count + super1g_.count;
+    for (std::size_t index = 0; index < regions_.size(); index++) {
+        const Region2m &rec = regions_[index];
+        const VAddr region = regionAddr(index);
+        const std::uint32_t actual = small_in_2m[index];
+        const bool reserved = reserved_.has(index);
+        const std::size_t g = index / Frames2M;
+        if (index % Frames2M == 0 && regions1g_[g].hasSub) {
+            MIX_AUDIT_CHECK(report, sub_in_1g[g] == regions1g_[g].sub,
+                            "1GB region 0x%llx claims %u sub-1GB pages "
+                            "but the tree holds %u",
+                            (unsigned long long)region,
+                            regions1g_[g].sub, sub_in_1g[g]);
+        }
+        if (index % Frames2M == 0 && super1g_.has(g)) {
+            MIX_AUDIT_CHECK(report, super[index] == PageSize::Size1G,
+                            "registry claims a %s leaf at 0x%llx but the "
+                            "tree disagrees",
+                            pageSizeName(PageSize::Size1G),
+                            (unsigned long long)region);
+        }
+        if (rec.hasSmall) {
+            MIX_AUDIT_CHECK(report, actual == rec.small,
+                            "2MB region 0x%llx claims %u fallback 4KB "
+                            "pages but the tree holds %u",
+                            (unsigned long long)region, rec.small,
+                            actual);
+            MIX_AUDIT_CHECK(report, !reserved,
+                            "2MB region 0x%llx has both fallback 4KB "
+                            "pages and an active reservation",
+                            (unsigned long long)region);
+        }
+        MIX_AUDIT_CHECK(report, actual == 0 || rec.hasSmall || reserved,
+                        "2MB region 0x%llx holds %u 4KB pages but has "
+                        "neither a fallback entry nor a reservation",
+                        (unsigned long long)region, actual);
+        if (reserved) {
+            MIX_AUDIT_CHECK(report, rec.touched < Frames2M,
+                            "reservation at 0x%llx is fully built (%u "
+                            "slots) but was never promoted",
+                            (unsigned long long)region, rec.touched);
+            MIX_AUDIT_CHECK(report, actual == rec.touched,
+                            "reservation at 0x%llx touched %u slots but "
+                            "the tree holds %u 4KB pages there",
+                            (unsigned long long)region, rec.touched,
+                            actual);
+            auto own = ownedFrames_.find(rec.block);
+            MIX_AUDIT_CHECK(report,
+                            own != ownedFrames_.end()
+                                && own->second == mem::Order2M,
+                            "reserved block 0x%llx is not owned as an "
+                            "order-%u allocation",
+                            (unsigned long long)rec.block, mem::Order2M);
+        }
+        if (super2m_.has(index)) {
+            MIX_AUDIT_CHECK(report, super[index] == PageSize::Size2M,
+                            "registry claims a %s leaf at 0x%llx but the "
+                            "tree disagrees",
+                            pageSizeName(PageSize::Size2M),
+                            (unsigned long long)region);
+        }
+        if (demoted_.has(index)) {
+            MIX_AUDIT_CHECK(report, rec.hasSmall,
+                            "demoted region 0x%llx missing from the 4KB "
+                            "side table",
+                            (unsigned long long)region);
+            MIX_AUDIT_CHECK(report, !reserved,
+                            "demoted region 0x%llx still has a "
+                            "reservation",
+                            (unsigned long long)region);
+            MIX_AUDIT_CHECK(report, super[index] == PageSize::Size4K,
+                            "demoted region 0x%llx still has a superpage "
+                            "leaf",
+                            (unsigned long long)region);
+        }
+    }
+    MIX_AUDIT_CHECK(report, super_leaves == recorded_super,
                     "tree holds %llu superpage leaves but the registry "
                     "tracks %llu",
-                    (unsigned long long)super.size(),
-                    (unsigned long long)residentSuper_.size());
-    for (const auto &[region, size] : residentSuper_) {
-        auto found = super.find(region);
-        MIX_AUDIT_CHECK(report,
-                        found != super.end() && found->second == size,
-                        "registry claims a %s leaf at 0x%llx but the "
-                        "tree disagrees",
-                        pageSizeName(size), (unsigned long long)region);
-    }
-    for (VAddr region : demoted2m_) {
-        MIX_AUDIT_CHECK(report,
-                        smallIn2m_.find(region) != smallIn2m_.end(),
-                        "demoted region 0x%llx missing from the 4KB "
-                        "side table",
-                        (unsigned long long)region);
-        MIX_AUDIT_CHECK(report,
-                        reservations_.find(region)
-                            == reservations_.end(),
-                        "demoted region 0x%llx still has a reservation",
-                        (unsigned long long)region);
-        MIX_AUDIT_CHECK(report, super.find(region) == super.end(),
-                        "demoted region 0x%llx still has a superpage "
-                        "leaf",
-                        (unsigned long long)region);
-    }
+                    (unsigned long long)super_leaves,
+                    (unsigned long long)recorded_super);
 }
 
 void

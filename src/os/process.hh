@@ -12,8 +12,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -90,14 +88,15 @@ class Process : public MovableOwner
 
     /**
      * Register a TLB-shootdown callback, fired whenever an existing
-     * translation changes (page migration, unmap).
+     * translation changes or a leaf table is retired: compaction
+     * migration, demotion, promotion and re-promotion, reclaim, and
+     * the release of a drained region.
      */
     void addInvalidateListener(
         std::function<void(VAddr, PageSize)> listener);
 
     /** Bytes currently backed by each page size. */
     std::uint64_t residentBytes(PageSize size) const;
-    std::uint64_t residentBytes() const;
 
     // MovableOwner: compaction moved one of our small pages.
     void relocate(std::uint64_t tag, Pfn from, Pfn to) override;
@@ -135,16 +134,16 @@ class Process : public MovableOwner
     void maintain();
 
     /** 2MB regions currently demoted to 4KB pages. */
-    std::uint64_t demotedRegions() const { return demoted2m_.size(); }
+    std::uint64_t demotedRegions() const { return demoted_.count; }
 
     stats::StatGroup &statGroup() { return stats_; }
 
     /**
      * Structural audit of the VM state: the page table's own radix
      * invariants, every leaf inside a VMA and backed by frames this
-     * process owns, the per-size resident-byte counters matching a
-     * fresh leaf walk, and the THS/reservation side tables (smallIn2m_,
-     * subIn1g_, reservations_) agreeing with what is actually mapped.
+     * process owns, the per-size resident bytes matching a fresh leaf
+     * walk, and the region records agreeing with the tree both ways
+     * (every 4KB leaf has a fallback entry or a reservation).
      */
     void audit(contracts::AuditReport &report) const;
 
@@ -169,40 +168,56 @@ class Process : public MovableOwner
     /** Frames we own, so teardown can free them: pfn -> order. */
     std::unordered_map<Pfn, unsigned> ownedFrames_;
 
-    /** 4KB mappings per 2MB-aligned region (blocks THS collapse). */
-    std::unordered_map<VAddr, std::uint32_t> smallIn2m_;
-    /** Sub-1GB mappings per 1GB-aligned region. */
-    std::unordered_map<VAddr, std::uint32_t> subIn1g_;
-
-    /** FreeBSD-style reservation state for one 2MB region. */
-    struct Reservation
+    /** Region indices, visited in ascending address order. */
+    struct RegionBits
     {
-        Pfn block;              ///< reserved 2MB frame block
-        std::uint32_t touched;  ///< 4KB pages mapped so far
+        static constexpr std::size_t None = ~std::size_t{0};
+        std::vector<std::uint64_t> words;
+        std::size_t count = 0;
+
+        bool has(std::size_t i) const { return words[i / 64] >> (i & 63) & 1; }
+        void set(std::size_t i, bool member = true)
+        {
+            const std::uint64_t bit = 1ULL << (i & 63);
+            count = count + member - ((words[i / 64] & bit) != 0);
+            words[i / 64] = (words[i / 64] & ~bit) | (member ? bit : 0);
+        }
+        /** The lowest member at or above @p from, or None. */
+        std::size_t next(std::size_t from) const;
     };
-    std::unordered_map<VAddr, Reservation> reservations_;
+
+    /**
+     * One 2MB region of the mmap space, at index (vaddr - regionBase_)
+     * >> 21. Its flags (reserved, resident 2MB leaf, demoted) live in
+     * RegionBits so that victim searches are word scans.
+     */
+    struct Region2m
+    {
+        Pfn block = 0;             ///< the reservation's 2MB frame block
+        std::uint32_t touched = 0; ///< reservation slots mapped
+        std::uint32_t small = 0;   ///< fallback 4KB pages mapped
+        /** Blocks superpage faults and reservations over the region's
+         *  leaf table, even at a count of zero. */
+        bool hasSmall = false;
+    };
+    /** One 1GB region of the mmap space, at index offset >> 30. */
+    struct Region1g
+    {
+        std::uint32_t sub = 0; ///< sub-1GB leaves mapped
+        bool hasSub = false;   ///< blocks a 1GB fault, even at zero
+    };
+
+    /** The first mmap base: index 0 of the records, grown by mmap(). */
+    VAddr regionBase_;
+    std::vector<Region2m> regions_;
+    std::vector<Region1g> regions1g_;
+    RegionBits reserved_; ///< active reservations
+    RegionBits super2m_;  ///< resident 2MB leaves
+    RegionBits super1g_;  ///< resident 1GB leaves, by 1GB region
+    RegionBits demoted_;  ///< demoted to 4KB, awaiting re-promotion
 
     std::vector<std::function<void(VAddr, PageSize)>> invalidateListeners_;
 
-    /**
-     * Resident page counts per size. Deliberately plain integers, not
-     * stats: startMeasurement() resets the fault counters to scope
-     * them to the measured window, but residency is a property of the
-     * address space and must survive the reset (the structural audit
-     * cross-checks it against the page-table tree).
-     */
-    std::uint64_t resident4k_ = 0;
-    std::uint64_t resident2m_ = 0;
-    std::uint64_t resident1g_ = 0;
-
-    /**
-     * Resident superpage leaves (region -> size), ordered so demotion
-     * picks victims deterministically. Structural state like the
-     * residency counters: survives resetStats().
-     */
-    std::map<VAddr, PageSize> residentSuper_;
-    /** 2MB regions demoted to 4KB, awaiting re-promotion. */
-    std::set<VAddr> demoted2m_;
     /** Exponential re-promotion backoff (mirrors deferred compaction). */
     unsigned repromoteDeferShift_ = 0;
     std::uint64_t repromoteDefer_ = 0;
@@ -226,8 +241,22 @@ class Process : public MovableOwner
     TouchResult faultPool1g(VAddr vaddr);
     TouchResult faultReservation(VAddr vaddr);
 
+    std::size_t regionIndex(VAddr vaddr) const
+    {
+        return (vaddr - regionBase_) >> PageShift2M;
+    }
+    VAddr regionAddr(std::size_t index) const
+    {
+        return regionBase_ + (static_cast<VAddr>(index) << PageShift2M);
+    }
+    Region2m &region2m(VAddr vaddr) { return regions_[regionIndex(vaddr)]; }
+    Region1g &region1g(VAddr vaddr)
+    {
+        return regions1g_[regionIndex(vaddr) / Frames2M];
+    }
+
     /** Replace a fully built reservation's 4KB PTEs with one 2MB PTE. */
-    void promoteReservation(VAddr region, const Reservation &res);
+    void promoteReservation(VAddr region, Pfn block);
 
     /** Demote the lowest-addressed resident superpage (2MB first). */
     bool demoteOne();

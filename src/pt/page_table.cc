@@ -233,6 +233,19 @@ PageTable::leafPteAddr(VAddr vaddr) const
     return pte_addr;
 }
 
+std::optional<PAddr>
+PageTable::leafTable(VAddr vaddr) const
+{
+    unsigned found_level = 0;
+    auto pte_addr = walkToLevel(vaddr, 1, false, &found_level);
+    if (!pte_addr || found_level != 1)
+        return std::nullopt;
+    const std::uint64_t raw = mem_.read64(*pte_addr);
+    if (!pte::present(raw) || pte::pageSizeBit(raw))
+        return std::nullopt;
+    return pte::frame(raw);
+}
+
 void
 PageTable::setAccessed(VAddr vaddr)
 {

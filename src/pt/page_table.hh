@@ -136,6 +136,14 @@ class PageTable
     /** Physical address of the leaf PTE covering @p vaddr, if mapped. */
     std::optional<PAddr> leafPteAddr(VAddr vaddr) const;
 
+    /**
+     * Physical base of the 4KB leaf table (PT) under the 2MB region
+     * containing @p vaddr: one walk, after which the region's 512 PTEs
+     * sit at consecutive 8-byte slots. nullopt when no PT hangs there
+     * (a missing upper level, or a superpage leaf covering the region).
+     */
+    std::optional<PAddr> leafTable(VAddr vaddr) const;
+
     /** Set the Accessed bit of the leaf PTE covering @p vaddr. */
     void setAccessed(VAddr vaddr);
 

@@ -1,13 +1,12 @@
 /**
  * @file
  * Regression tests for audit-report determinism: the structural
- * auditors iterate unordered containers (PageTable's reachable set,
- * Process's THS side tables), and their reports must be byte-identical
- * no matter what order the underlying hash tables were populated in.
- * libstdc++ iterates its hash tables in reverse insertion order, so
- * building the same logical state through two different operation
- * orders exercises exactly the nondeterminism the sorted-key walks in
- * PageTable::audit and Process::audit exist to remove.
+ * auditors' reports must be byte-identical no matter what order the
+ * audited state was built in. PageTable::audit collects reachable
+ * frames in a hash set (libstdc++ iterates its hash tables in reverse
+ * insertion order) and reports them sorted; Process::audit walks its
+ * region records in address order. Building the same logical state
+ * through two different operation orders checks both.
  */
 
 #include <gtest/gtest.h>
@@ -74,11 +73,11 @@ foreignFrameReport(bool swap_slots, std::size_t &num_violations)
 }
 
 /**
- * Build a Process whose smallIn2m_ side table disagrees with the tree
+ * Build a Process whose fallback 4KB counts disagree with the tree
  * for several 2MB regions, touching the regions in ascending or
  * descending order. The corruption (an extra 4KB leaf mapped behind
- * the process's back) is identical either way; only the hash-table
- * insertion order differs.
+ * the process's back) is identical either way; only the order in which
+ * the regions were recorded differs.
  */
 std::string
 processAuditReport(bool descending, std::size_t &num_violations)
@@ -91,7 +90,7 @@ processAuditReport(bool descending, std::size_t &num_violations)
     Process proc(mm, params, &root);
 
     // Four 1MB VMAs: half a 2MB region each, so every THS touch falls
-    // back to 4KB pages and records its region in smallIn2m_.
+    // back to 4KB pages and counts them in its region's record.
     std::vector<VAddr> bases;
     for (int i = 0; i < 4; i++)
         bases.push_back(proc.mmap(1 * MiB));

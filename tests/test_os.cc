@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
+#include "common/random.hh"
 #include "os/memhog.hh"
 #include "os/memory_manager.hh"
 #include "os/process.hh"
@@ -643,6 +646,26 @@ TEST_F(OsFixture, ReclaimAbandonsReservationSlackWithoutShootdowns)
     EXPECT_TRUE(report.violations().empty());
 }
 
+TEST_F(OsFixture, AuditReportsFourKLeavesNoRecordAccountsFor)
+{
+    Process proc(mm, thpParams(), &root);
+    VAddr base = proc.mmap(16 * MiB);
+    ASSERT_EQ(proc.touch(base), TouchResult::Faulted);
+    contracts::AuditReport clean;
+    proc.audit(clean);
+    ASSERT_TRUE(clean.violations().empty()) << clean.summary();
+
+    // A 4KB leaf mapped behind the OS's back in a fresh region of the
+    // VMA: no fallback entry and no reservation account for it.
+    const VAddr stray = base + 3 * PageBytes2M + 5 * PageBytes4K;
+    proc.pageTable().map(stray, 0, PageSize::Size4K);
+    contracts::AuditReport report;
+    proc.audit(report);
+    EXPECT_TRUE(report.mentions("neither a fallback entry nor a "
+                                "reservation"))
+        << report.summary();
+}
+
 TEST(OsLifecycle, TouchNeverOomsWhileSuperpagesAreDemotable)
 {
     // The tentpole property: on a 256MB machine, sequentially touching
@@ -668,4 +691,186 @@ TEST(OsLifecycle, TouchNeverOomsWhileSuperpagesAreDemotable)
     contracts::AuditReport report;
     proc.audit(report);
     EXPECT_TRUE(report.violations().empty());
+}
+
+namespace
+{
+
+/** FNV-1a over little-endian 64-bit words: the lifecycle trace digest. */
+struct TraceHash
+{
+    std::uint64_t value = 0xcbf29ce484222325ULL;
+
+    void
+    add(std::uint64_t word)
+    {
+        for (int i = 0; i < 8; i++) {
+            value ^= (word >> (8 * i)) & 0xff;
+            value *= 0x100000001b3ULL;
+        }
+    }
+};
+
+/**
+ * Drive one process through a seeded sequence of lifecycle operations
+ * and digest everything the lifecycle decides: every shootdown
+ * (vbase, size) in firing order, every reclaim's return, and after
+ * each operation every leaf (vbase, pbase, size), the resident bytes
+ * per size, the demoted-region count and the lifecycle counters. The
+ * process is audited after every operation.
+ */
+std::uint64_t
+lifecycleTraceHash(PagePolicy policy, std::uint64_t mem_bytes,
+                   std::uint64_t vma_bytes, double hog_fraction,
+                   std::uint64_t seed)
+{
+    mem::PhysMem mem{mem_bytes};
+    stats::StatGroup root{"test"};
+    MemoryManager mm{mem, &root};
+    Memhog hog(mm, 0.0);
+    hog.fragment(hog_fraction, seed);
+    ProcessParams params;
+    params.policy = policy;
+    params.pool1gPages = policy == PagePolicy::Huge1G ? 1 : 0;
+    Process proc(mm, params, &root);
+
+    TraceHash trace;
+    proc.addInvalidateListener([&](VAddr va, PageSize size) {
+        trace.add(va);
+        trace.add(static_cast<std::uint64_t>(size));
+    });
+    const VAddr base = proc.mmap(vma_bytes);
+    const std::uint64_t pages = vma_bytes / PageBytes4K;
+    std::vector<VAddr> touched;
+    Rng rng(seed);
+
+    static const std::uint64_t wants[] = {1, 64, 400, 1000, 3000};
+    for (int op = 0; op < 160; op++) {
+        const std::uint64_t kind = rng.nextBounded(8);
+        trace.add(kind);
+        switch (kind) {
+          case 0: {
+            // Touch single pages in scattered regions: reservations
+            // with equal touched counts, so reclaim must break ties.
+            for (int i = 0; i < 8; i++) {
+                const VAddr va = base + rng.nextBounded(pages) * PageBytes4K;
+                touched.push_back(va);
+                trace.add(static_cast<std::uint64_t>(proc.touch(va)));
+            }
+            break;
+          }
+          case 1: {
+            // Touch a run of pages.
+            const std::uint64_t first = rng.nextBounded(pages);
+            const std::uint64_t count = rng.nextRange(1, 1024);
+            const VAddr start = base + first * PageBytes4K;
+            touched.push_back(start);
+            for (std::uint64_t i = 0; i < count && first + i < pages;
+                 i++) {
+                trace.add(static_cast<std::uint64_t>(
+                    proc.touch(start + i * PageBytes4K)));
+            }
+            break;
+          }
+          case 2:
+          case 3: {
+            // Age a few touched regions: some pages referenced, some
+            // written, the rest left cold, so every reclaim pass finds
+            // victims.
+            if (touched.empty())
+                break;
+            const VAddr start =
+                touched[rng.nextBounded(touched.size())];
+            const VAddr region = pageBase(start, PageSize::Size2M);
+            const VAddr end = std::min(region + 8 * PageBytes2M,
+                                       base + vma_bytes);
+            for (VAddr va = region; va < end; va += PageBytes4K) {
+                const std::uint64_t draw = rng.nextBounded(8);
+                if (draw == 0 || !proc.pageTable().translate(va))
+                    continue;
+                if (draw >= 6)
+                    proc.pageTable().setDirty(va);
+                else
+                    proc.pageTable().setAccessed(va);
+            }
+            break;
+          }
+          case 4:
+            trace.add(proc.demoteStorm(rng.nextRange(1, 4)));
+            break;
+          case 5:
+            trace.add(proc.reclaimMemory(wants[rng.nextBounded(5)]));
+            break;
+          case 6:
+          case 7: {
+            // Maintenance ticks, under pressure (pinned ballast below
+            // the re-promotion threshold) or with pressure faded.
+            std::vector<std::pair<Pfn, unsigned>> ballast;
+            if (kind == 7) {
+                while (mm.freeFraction() >= 0.07) {
+                    unsigned order = mem::Order2M;
+                    auto pfn = mem.allocFrames(order,
+                                               mem::FrameUse::Pinned);
+                    if (!pfn) {
+                        order = 0;
+                        pfn = mem.allocFrames(order,
+                                              mem::FrameUse::Pinned);
+                    }
+                    if (!pfn)
+                        break;
+                    ballast.emplace_back(*pfn, order);
+                }
+            }
+            const std::uint64_t ticks = rng.nextRange(1, 80);
+            for (std::uint64_t i = 0; i < ticks; i++)
+                proc.maintain();
+            for (auto [pfn, order] : ballast)
+                mem.freeFrames(pfn, order);
+            break;
+          }
+        }
+
+        proc.pageTable().forEachLeaf([&](const pt::Translation &leaf) {
+            trace.add(leaf.vbase);
+            trace.add(leaf.pbase);
+            trace.add(static_cast<std::uint64_t>(leaf.size));
+        });
+        trace.add(proc.residentBytes(PageSize::Size4K));
+        trace.add(proc.residentBytes(PageSize::Size2M));
+        trace.add(proc.residentBytes(PageSize::Size1G));
+        trace.add(proc.demotedRegions());
+        for (const char *stat :
+             {"proc.demotions", "proc.reclaims", "proc.repromotions",
+              "proc.faults_4k", "proc.faults_2m", "proc.faults_1g",
+              "proc.migrations", "proc.demote_rescues"}) {
+            trace.add(static_cast<std::uint64_t>(root.value(stat)));
+        }
+
+        contracts::AuditReport report;
+        proc.audit(report);
+        EXPECT_TRUE(report.violations().empty())
+            << "op " << op << ": " << report.summary();
+        if (!report.violations().empty())
+            break;
+    }
+    return trace.value;
+}
+
+} // anonymous namespace
+
+TEST(OsLifecycle, SeededTraceMatchesParent)
+{
+    // Recorded from the per-slot-walk implementation with its
+    // map/set-keyed side tables: the victim orders, shootdowns and
+    // counters of the lifecycle must not depend on how the OS finds
+    // its candidates.
+    EXPECT_EQ(lifecycleTraceHash(PagePolicy::Thp, 256 * MiB, 96 * MiB, 0.5,
+                                 1),
+              0x7078d3f7f8cde941ULL);
+    EXPECT_EQ(lifecycleTraceHash(PagePolicy::Reservation, 256 * MiB,
+                                 96 * MiB, 0.1, 34),
+              0x022fce71dc8a11f9ULL);
+    EXPECT_EQ(lifecycleTraceHash(PagePolicy::Huge1G, 2 * GiB, 2 * GiB, 0.1,
+                                 10),
+              0xd80aa66ae8b06cd0ULL);
 }

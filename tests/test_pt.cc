@@ -139,6 +139,35 @@ TEST_F(PtFixture, ForEachLeafVisitsAllInOrder)
 
 using PtDeathTest = PtFixture;
 
+TEST_F(PtFixture, LeafTableHoldsTheRegionsPtesInSlotOrder)
+{
+    // A PT with two 4K leaves (one accessed and dirty), a 2M leaf, a
+    // 1G leaf and an unmapped region.
+    const VAddr region = 0x40000000;
+    table.map(region + 3 * PageBytes4K, 0x7000, PageSize::Size4K);
+    table.map(region + 511 * PageBytes4K, 0x9000, PageSize::Size4K);
+    table.setDirty(region + 511 * PageBytes4K);
+    table.map(region + PageBytes2M, 0x200000, PageSize::Size2M);
+    table.map(0x80000000, 0, PageSize::Size1G);
+
+    auto pt = table.leafTable(region + 0x1234);
+    ASSERT_TRUE(pt.has_value());
+    for (unsigned slot = 0; slot < 512; slot++) {
+        const std::uint64_t raw = mem.read64(*pt + 8 * slot);
+        auto x = table.translate(region + slot * PageBytes4K);
+        ASSERT_EQ(pte::present(raw), x.has_value()) << slot;
+        if (!x)
+            continue;
+        EXPECT_EQ(pte::frame(raw), x->pbase) << slot;
+        EXPECT_EQ(pte::accessed(raw), x->accessed) << slot;
+        EXPECT_EQ(pte::dirty(raw), x->dirty) << slot;
+    }
+    EXPECT_FALSE(table.leafTable(region + PageBytes2M).has_value());
+    EXPECT_FALSE(table.leafTable(0x80000000 + 5 * PageBytes2M).has_value());
+    EXPECT_FALSE(table.leafTable(region + 2 * PageBytes2M).has_value());
+    EXPECT_FALSE(table.leafTable(0x1000000000).has_value());
+}
+
 TEST_F(PtDeathTest, MapTwicePanics)
 {
     table.map(0x7000, 0x42000, PageSize::Size4K);

@@ -18,7 +18,8 @@ memory-pressure lifecycle was live and harmless:
 
   stormed      the demote-storm site actually fired, on every machine
                kind in the grid (native, virt, multi, gpu)
-  cycled       superpage demotions and page reclaims were recorded
+  cycled       superpage demotions, page reclaims and re-promotions of
+               demoted regions were recorded
   precise      no point was quarantined: every storm's shootdowns left
                the TLBs coherent (the paranoia oracle would have
                quarantined the point otherwise)
@@ -107,16 +108,24 @@ def main() -> None:
             r.get("metrics", {}).get("demotions", 0) for r in ok
         )
         reclaims = sum(r.get("metrics", {}).get("reclaims", 0) for r in ok)
+        repromotions = sum(
+            r.get("metrics", {}).get("repromotions", 0) for r in ok
+        )
         if demotions == 0:
             fail("storms fired but no superpage demotions were recorded")
         if reclaims == 0:
             fail("storms fired but no page reclaims were recorded")
+        if repromotions == 0:
+            fail("storms fired but no demoted region was re-promoted")
         if failed:
             fail(
                 f"{len(failed)} points quarantined under demotion "
                 "storms -- the lifecycle was not harmless"
             )
-        lifecycle = f", demotions={demotions:.0f}, reclaims={reclaims:.0f}"
+        lifecycle = (
+            f", demotions={demotions:.0f}, reclaims={reclaims:.0f}, "
+            f"repromotions={repromotions:.0f}"
+        )
 
     print(
         f"check_soak: OK: {len(ok)}/{len(results)} points completed, "
