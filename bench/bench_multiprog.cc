@@ -7,8 +7,8 @@
  * a derived seed), so both policies replay byte-identical reference
  * streams and the miss-rate delta is purely the flush policy.
  *
- * `--json` (default BENCH_multiprog.json) emits the report that
- * tools/check_perf.py validates in CI.
+ * `--json <path>` emits the report that tools/check_perf.py validates
+ * in CI.
  */
 
 #include <cstdio>

@@ -81,6 +81,10 @@ VirtMachine::VirtMachine(const VirtMachineParams &params)
             makeCpuL2(params.design, &vm.statGroup(), table, params.scale),
             source);
         addLane(hier, proc, hog);
+        // INVEPT single-context: any host-side change to this VM's EPT
+        // (demote, reclaim, migrate) flushes its vCPU's TLBs.
+        vm.eptProcess().addInvalidateListener(
+            [&hier](VAddr, PageSize) { hier.invalidateAll(); });
     }
 }
 

@@ -2,13 +2,15 @@
  * @file
  * Tests for the virtualization substrate: EPT backing, nested walks
  * (the 24-access 2-D walk), effective page sizes under splintering,
- * and nested coalescing candidates for MIX TLBs.
+ * nested coalescing candidates for MIX TLBs, and guest TLB shootdowns
+ * on host-side EPT changes.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "common/contracts.hh"
 #include "os/memhog.hh"
 #include "os/scan.hh"
 #include "sim/machine.hh"
@@ -409,3 +411,59 @@ TEST(VirtMachine, GuestMemhogReducesGuestSuperpages)
     EXPECT_LT(fragged.guestDistribution(0).superpageFraction(),
               pristine.guestDistribution(0).superpageFraction());
 }
+
+namespace
+{
+
+/** Every headline design, one test case each. */
+struct EptShootdown : ::testing::TestWithParam<sim::TlbDesign>
+{
+    /** Restores paranoia 0 even when an expectation fails. */
+    struct ParanoiaGuard
+    {
+        explicit ParanoiaGuard(unsigned level)
+        {
+            contracts::setParanoia(level);
+        }
+        ~ParanoiaGuard() { contracts::setParanoia(0); }
+    };
+};
+
+} // anonymous namespace
+
+/**
+ * Host reclaim of a VM's frames must shoot down that VM's guest TLBs:
+ * an overcommitted host (two 512 MB VMs on 512 MB) reclaims VM0's
+ * backing while VM1 warms, and VM0's next references must not hit the
+ * dead gVA->sPA entries (the paranoia-2 oracle exits on the first).
+ */
+TEST_P(EptShootdown, HostReclaimFlushesGuestTlbs)
+{
+    sim::VirtMachineParams params;
+    params.hostMemBytes = 512 * MiB;
+    params.vmMemBytes = 512 * MiB;
+    params.numVms = 2;
+    params.design = GetParam();
+    params.seed = 1;
+    sim::VirtMachine machine(params);
+
+    const std::uint64_t hot = 32 * MiB;
+    VAddr base0 = machine.mapArena(0, hot);
+    machine.warmup(0, base0, hot);
+    auto gen = workload::makeGenerator("gups", base0, hot, 1);
+    ASSERT_EQ(machine.run(0, *gen, 2000), 2000u);
+
+    const std::uint64_t hog = 496 * MiB;
+    VAddr base1 = machine.mapArena(1, hog);
+    machine.warmup(1, base1, hog);
+
+    ParanoiaGuard guard(2);
+    EXPECT_EQ(machine.run(0, *gen, 2000), 2000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Designs, EptShootdown,
+                         ::testing::Values(sim::TlbDesign::Split,
+                                           sim::TlbDesign::Mix,
+                                           sim::TlbDesign::MixColt,
+                                           sim::TlbDesign::HashRehash,
+                                           sim::TlbDesign::Skew));

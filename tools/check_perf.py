@@ -1,21 +1,11 @@
 #!/usr/bin/env python3
 """Validate perf-smoke benchmark reports (CI's perf-smoke job).
 
-Dispatches on the report's "benchmark" field:
+Host throughput is measured by perfbench/ (repeated, gated, per-layer);
+this script only proves the two remaining CI reports are complete and
+coherent. It dispatches on the report's kind:
 
-`hotpath` (BENCH_hotpath.json): self-measured wall-clock refs/sec for
-a fixed gups + stream mix over every headline TLB design. The check
-proves the report is *usable as a perf artifact* — it is not a perf
-regression gate (CI machines vary), but it fails loudly when the
-harness silently lost coverage:
-
-  complete     every expected design is present
-  measured     every (design, workload) sample carries refs > 0,
-               wall_seconds > 0, and refs_per_sec > 0
-  coherent     the per-design aggregate refs_per_sec is positive and
-               no larger than its fastest workload sample
-
-`multiprog` (BENCH_multiprog.json): the multiprogrammed sweep pairing
+`multiprog` (bench_multiprog --json): the multiprogrammed sweep pairing
 full-flush and ASID-tagged context-switch policies over identical
 reference streams. Checks:
 
@@ -35,85 +25,20 @@ google-benchmark emits (detected by its "context"/"benchmarks" keys
 rather than a "benchmark" field). Checks every benchmark ran (no
 error_occurred, positive real/cpu time) and none were skipped.
 
-A multiprog report may instead be a *summary* (`"schema": "summary"`):
-per-design geomean refs/sec plus aggregated multi-block counters,
-produced with `--write-summary` from a full report. The committed
-BENCH_multiprog.json baseline uses this form so refreshes stay a
-dozen-line diff instead of thousands; `--baseline` accepts either form
-on either side (full-vs-summary comparisons share the per-design
-geomean samples).
+A report of any other kind fails as `unknown benchmark kind`.
 
-With `--baseline <json>`, samples shared by both reports are compared
-on refs/sec (for google-benchmark reports, 1/cpu_time): a sample below
-0.9x its baseline rate warns, below 0.7x fails. Baselines are the
-committed BENCH_*.json files at the repo root, regenerated on the
-machine that measured them — meaningful on a quiet dedicated box, too
-noisy to gate shared CI runners on.
-
-Usage: tools/check_perf.py <BENCH_*.json> [--baseline <BENCH_*.json>]
-                           [--write-summary <out.json>]
-       (exit 0 clean, 1 otherwise)
+Usage: tools/check_perf.py <report.json>   (exit 0 clean, 1 otherwise)
 """
 
 import json
-import math
 import sys
 
-WARN_RATIO = 0.9
-FAIL_RATIO = 0.7
-
 EXPECTED_DESIGNS = ["split", "mix", "mix+colt", "hash-rehash", "skew"]
-EXPECTED_WORKLOADS = ["gups", "stream"]
 
 
 def fail(message: str) -> None:
     print(f"check_perf: FAIL: {message}")
     sys.exit(1)
-
-
-def check_hotpath(report: dict) -> None:
-    designs = report.get("designs", [])
-    if not designs:
-        fail("report has no designs block")
-    by_name = {entry.get("design"): entry for entry in designs}
-    missing = [d for d in EXPECTED_DESIGNS if d not in by_name]
-    if missing:
-        fail(f"missing designs: {', '.join(missing)}")
-
-    for name in EXPECTED_DESIGNS:
-        entry = by_name[name]
-        workloads = entry.get("workloads", {})
-        for workload in EXPECTED_WORKLOADS:
-            sample = workloads.get(workload)
-            if sample is None:
-                fail(f"{name}: missing workload '{workload}'")
-            for key in ("refs", "wall_seconds", "refs_per_sec"):
-                value = sample.get(key, 0)
-                if not value or value <= 0:
-                    fail(f"{name}/{workload}: {key} is {value!r}")
-        aggregate = entry.get("refs_per_sec", 0)
-        if not aggregate or aggregate <= 0:
-            fail(f"{name}: aggregate refs_per_sec is {aggregate!r}")
-        fastest = max(
-            workloads[w]["refs_per_sec"] for w in EXPECTED_WORKLOADS
-        )
-        if aggregate > fastest * 1.001:
-            fail(
-                f"{name}: aggregate refs_per_sec ({aggregate:.0f}) "
-                f"exceeds its fastest sample ({fastest:.0f})"
-            )
-
-    total = sum(
-        by_name[n]["workloads"][w]["refs_per_sec"]
-        for n in EXPECTED_DESIGNS
-        for w in EXPECTED_WORKLOADS
-    )
-    print(
-        f"check_perf: OK: {len(EXPECTED_DESIGNS)} designs x "
-        f"{len(EXPECTED_WORKLOADS)} workloads, mean "
-        f"{total / (len(EXPECTED_DESIGNS) * len(EXPECTED_WORKLOADS)):,.0f} "
-        "refs/sec"
-    )
 
 
 def pair_key(config: dict) -> tuple:
@@ -126,9 +51,6 @@ def pair_key(config: dict) -> tuple:
 
 
 def check_multiprog(report: dict) -> None:
-    if report.get("schema") == "summary":
-        check_multiprog_summary(report)
-        return
     results = report.get("results", [])
     if not results:
         fail("report has no results")
@@ -212,100 +134,6 @@ def check_multiprog(report: dict) -> None:
     )
 
 
-def geomean(values: list) -> float:
-    positive = [v for v in values if v > 0]
-    if not positive:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in positive) / len(positive))
-
-
-def summarize_multiprog(report: dict) -> dict:
-    """Collapse a full multiprog report into the summary schema."""
-    designs = {}
-    for record in report.get("results", []):
-        config = record.get("config", {})
-        entry = designs.setdefault(
-            config.get("design", "?"),
-            {
-                "points": 0,
-                "timed_points": 0,
-                "rates": [],
-                "context_switches": 0,
-                "full_flushes": 0,
-                "flush_miss_rates": [],
-                "asid_miss_rates": [],
-            },
-        )
-        entry["points"] += 1
-        timing = record.get("timing")
-        if timing and timing.get("refs_per_sec", 0) > 0:
-            entry["timed_points"] += 1
-            entry["rates"].append(timing["refs_per_sec"])
-        multi = record.get("multi", {})
-        entry["context_switches"] += multi.get("context_switches", 0)
-        entry["full_flushes"] += multi.get("full_flushes", 0)
-        rate = record.get("metrics", {}).get("l1_miss_rate")
-        if rate is not None:
-            key = ("flush_miss_rates"
-                   if config.get("policy") == "full-flush"
-                   else "asid_miss_rates")
-            entry[key].append(rate)
-
-    out = {}
-    for design, entry in sorted(designs.items()):
-        flush_rates = entry.pop("flush_miss_rates")
-        asid_rates = entry.pop("asid_miss_rates")
-        rates = entry.pop("rates")
-        entry["geomean_refs_per_sec"] = geomean(rates)
-        entry["mean_l1_miss_rate_flush"] = (
-            sum(flush_rates) / len(flush_rates) if flush_rates else 0.0
-        )
-        entry["mean_l1_miss_rate_asid"] = (
-            sum(asid_rates) / len(asid_rates) if asid_rates else 0.0
-        )
-        out[design] = entry
-    return {
-        "benchmark": "multiprog",
-        "schema": "summary",
-        "source_points": len(report.get("results", [])),
-        "designs": out,
-    }
-
-
-def check_multiprog_summary(report: dict) -> None:
-    designs = report.get("designs", {})
-    missing = [d for d in EXPECTED_DESIGNS if d not in designs]
-    if missing:
-        fail(f"summary missing designs: {', '.join(missing)}")
-    for design, entry in designs.items():
-        if entry.get("points", 0) <= 0:
-            fail(f"{design}: summary has no points")
-        if entry.get("timed_points", 0) > 0 and \
-                entry.get("geomean_refs_per_sec", 0) <= 0:
-            fail(f"{design}: timed points but no geomean rate")
-        if entry.get("context_switches", 0) <= 0:
-            fail(f"{design}: no context switches recorded")
-        if entry.get("full_flushes", 0) <= 0:
-            fail(f"{design}: full-flush policy never flushed")
-        flush_mean = entry.get("mean_l1_miss_rate_flush", 0)
-        asid_mean = entry.get("mean_l1_miss_rate_asid", 0)
-        if not asid_mean < flush_mean:
-            fail(
-                f"{design}: mean ASID-tagged L1 miss rate "
-                f"({asid_mean:.6f}) not below full-flush "
-                f"({flush_mean:.6f})"
-            )
-        print(
-            f"check_perf: {design}: mean L1 miss "
-            f"{flush_mean:.4%} (flush) -> {asid_mean:.4%} (asid)"
-        )
-    print(
-        f"check_perf: OK: multiprog summary of "
-        f"{report.get('source_points', 0)} points across "
-        f"{len(designs)} designs"
-    )
-
-
 def check_google_benchmark(report: dict) -> None:
     benchmarks = report.get("benchmarks", [])
     if not benchmarks:
@@ -324,133 +152,25 @@ def check_google_benchmark(report: dict) -> None:
     )
 
 
-def report_kind(report: dict) -> str:
+def report_kind(report: dict) -> str | None:
     if "benchmarks" in report and "context" in report:
         return "google-benchmark"
-    return report.get("benchmark", "hotpath")
-
-
-def rate_samples(report: dict) -> dict:
-    """Flatten a report of any kind to {sample name: refs/sec}."""
-    kind = report_kind(report)
-    rates = {}
-    if kind == "hotpath":
-        for entry in report.get("designs", []):
-            design = entry.get("design", "?")
-            for workload, sample in entry.get("workloads", {}).items():
-                rates[f"{design}/{workload}"] = sample.get(
-                    "refs_per_sec", 0
-                )
-    elif kind == "multiprog":
-        if report.get("schema") == "summary":
-            for design, entry in report.get("designs", {}).items():
-                rates[f"{design}/geomean"] = entry.get(
-                    "geomean_refs_per_sec", 0
-                )
-        else:
-            for record in report.get("results", []):
-                timing = record.get("timing")
-                if timing:
-                    rates[record.get("label", "?")] = timing.get(
-                        "refs_per_sec", 0
-                    )
-            # The per-design geomeans a summary carries, so a full
-            # report can be gated against a summary baseline (and vice
-            # versa) on the shared keys.
-            summary = summarize_multiprog(report)
-            for design, entry in summary["designs"].items():
-                rates[f"{design}/geomean"] = entry[
-                    "geomean_refs_per_sec"
-                ]
-    elif kind == "google-benchmark":
-        # No refs/sec counter; compare on inverse cpu time per
-        # iteration, which scales the same way.
-        for bench in report.get("benchmarks", []):
-            cpu = bench.get("cpu_time", 0)
-            if cpu > 0:
-                rates[bench.get("name", "?")] = 1.0 / cpu
-    return rates
-
-
-def check_baseline(report: dict, baseline: dict) -> None:
-    if report_kind(report) != report_kind(baseline):
-        fail(
-            f"baseline kind {report_kind(baseline)!r} does not match "
-            f"report kind {report_kind(report)!r}"
-        )
-    current = rate_samples(report)
-    expected = rate_samples(baseline)
-    shared = [k for k in expected if k in current and expected[k] > 0]
-    if not shared:
-        fail("baseline and report share no measurable samples")
-
-    worst_name, worst_ratio = None, None
-    failures, warnings = [], []
-    for name in shared:
-        ratio = current[name] / expected[name]
-        if worst_ratio is None or ratio < worst_ratio:
-            worst_name, worst_ratio = name, ratio
-        if ratio < FAIL_RATIO:
-            failures.append(f"{name}: {ratio:.2f}x baseline")
-        elif ratio < WARN_RATIO:
-            warnings.append(f"{name}: {ratio:.2f}x baseline")
-    for line in warnings:
-        print(f"check_perf: WARN: {line}")
-    if failures:
-        fail(
-            f"{len(failures)} samples below {FAIL_RATIO}x baseline: "
-            + "; ".join(failures)
-        )
-    print(
-        f"check_perf: baseline OK: {len(shared)} samples, worst "
-        f"{worst_name} at {worst_ratio:.2f}x"
-    )
+    return report.get("benchmark")
 
 
 def main() -> None:
-    argv = sys.argv[1:]
-    baseline_path = None
-    summary_path = None
-    if "--baseline" in argv:
-        at = argv.index("--baseline")
-        if at + 1 >= len(argv):
-            fail("--baseline requires a path")
-        baseline_path = argv[at + 1]
-        del argv[at:at + 2]
-    if "--write-summary" in argv:
-        at = argv.index("--write-summary")
-        if at + 1 >= len(argv):
-            fail("--write-summary requires a path")
-        summary_path = argv[at + 1]
-        del argv[at:at + 2]
-    if len(argv) != 1:
-        fail("usage: check_perf.py <report.json> [--baseline <json>] "
-             "[--write-summary <out.json>]")
-    with open(argv[0], encoding="utf-8") as handle:
+    if len(sys.argv) != 2:
+        fail("usage: check_perf.py <report.json>")
+    with open(sys.argv[1], encoding="utf-8") as handle:
         report = json.load(handle)
 
     kind = report_kind(report)
-    if kind == "hotpath":
-        check_hotpath(report)
-    elif kind == "multiprog":
+    if kind == "multiprog":
         check_multiprog(report)
     elif kind == "google-benchmark":
         check_google_benchmark(report)
     else:
         fail(f"unknown benchmark kind {kind!r}")
-
-    if summary_path is not None:
-        if kind != "multiprog" or report.get("schema") == "summary":
-            fail("--write-summary needs a full multiprog report")
-        with open(summary_path, "w", encoding="utf-8") as handle:
-            json.dump(summarize_multiprog(report), handle, indent=2)
-            handle.write("\n")
-        print(f"check_perf: wrote summary to {summary_path}")
-
-    if baseline_path is not None:
-        with open(baseline_path, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        check_baseline(report, baseline)
 
 
 if __name__ == "__main__":
