@@ -79,10 +79,65 @@ BM_MixTlbSuperpageFill(benchmark::State &state)
     tlb::FillInfo fill;
     fill.leaf = *walk.leaf;
     fill.walk = &walk;
+    // Re-filling one identical entry merges into the existing copy in
+    // every set: this times the L2 (Length) merge-everywhere path.
     for (auto _ : state)
-        tlb.fill(fill); // all-set mirroring, the costliest fill path
+        tlb.fill(fill);
 }
 BENCHMARK(BM_MixTlbSuperpageFill);
+
+/**
+ * L1 MIX (96/6, Bitmap) refills from an L2 Length bundle of 68 2MB
+ * pages, the bundle an L2 hit hands down: each fill intersects the
+ * bundle with the 16-slot L1 window, merges into the probed set and
+ * mirrors blindly into the other 15. Four bundles of 5 windows each
+ * outnumber the 6 ways, and the fill order strides across windows,
+ * so probed-set fills insert and evict as well as merge.
+ */
+void
+BM_MixTlbBundleRefill(benchmark::State &state)
+{
+    constexpr unsigned Bundles = 4;
+    constexpr unsigned BundlePages = 68;
+    constexpr unsigned Pages = Bundles * BundlePages;
+    stats::StatGroup root("bm");
+    tlb::MixTlbParams params;
+    params.entries = 96;
+    params.assoc = 6;
+    tlb::MixTlb tlb("mix", &root, params);
+    std::vector<tlb::FillInfo> fills;
+    fills.reserve(Pages);
+    for (unsigned i = 0; i < Pages; i++) {
+        // Stride 37 (coprime with 272) visits every page once per lap.
+        const unsigned p = (i * 37) % Pages;
+        const unsigned b = p / BundlePages;
+        tlb::BundleInfo bundle;
+        bundle.vbase = (1ULL << 40) + b * (1ULL << 36);
+        bundle.pbase = (1ULL << 34) + b * (1ULL << 30);
+        bundle.size = PageSize::Size2M;
+        bundle.count = BundlePages;
+        bundle.perms = pt::Perms{};
+        bundle.dirty = (b & 1) != 0;
+        const std::uint64_t off = (p % BundlePages) * PageBytes2M;
+        tlb::FillInfo fill;
+        fill.leaf.vbase = bundle.vbase + off;
+        fill.leaf.pbase = bundle.pbase + off;
+        fill.leaf.size = PageSize::Size2M;
+        fill.leaf.perms = bundle.perms;
+        fill.leaf.accessed = true;
+        fill.leaf.dirty = bundle.dirty;
+        fill.vaddr = fill.leaf.vbase + (i % 512) * PageBytes4K;
+        fill.bundle = bundle;
+        fills.push_back(fill);
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        tlb.fill(fills[i]);
+        i = i + 1 == fills.size() ? 0 : i + 1;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MixTlbBundleRefill);
 
 void
 BM_PageTableWalk(benchmark::State &state)

@@ -12,6 +12,42 @@
 namespace mixtlb::tlb
 {
 
+namespace
+{
+
+/** Bits [lo, hi) of a 64-bit slot map; needs lo < hi <= 64. */
+std::uint64_t
+slotRange(unsigned lo, unsigned hi)
+{
+    const unsigned width = hi - lo;
+    return width >= 64 ? ~0ULL : shiftLeft(pow2(width) - 1, lo);
+}
+
+/**
+ * The run of set slots of @p map next to @p slot, as [lo, hi]: lo
+ * walks down and hi walks up while the neighbouring slot is set, hi
+ * staying below @p limit (> slot). Slots past bit 63 read as clear;
+ * @p slot itself is not tested.
+ */
+std::pair<unsigned, unsigned>
+runAround(std::uint64_t map, unsigned slot, unsigned limit)
+{
+    unsigned below = 0;
+    if (slot >= 1 && slot <= 64) {
+        below = static_cast<unsigned>(
+            std::countl_one(shiftLeft(map, 64 - slot)));
+    }
+    unsigned above = 0;
+    if (slot + 1 < 64) {
+        above = std::min(static_cast<unsigned>(std::countr_one(
+                             shiftRight(map, slot + 1))),
+                         limit - 1 - slot);
+    }
+    return {slot - below, slot + above};
+}
+
+} // anonymous namespace
+
 MixTlb::MixTlb(const std::string &name, stats::StatGroup *parent,
                const MixTlbParams &params)
     : BaseTlb(name, parent), params_(params),
@@ -75,24 +111,24 @@ MixTlb::groupSlots(PageSize size) const
 VAddr
 MixTlb::windowBase(VAddr vbase, PageSize size) const
 {
-    std::uint64_t span =
-        static_cast<std::uint64_t>(groupSlots(size)) * pageBytes(size);
+    const std::uint64_t span = std::uint64_t(groupSlots(size))
+                               << pageShift(size);
+    // Power-of-two spans mask; the 68-slot L2 windows take the modulo.
+    if (isPowerOf2(span))
+        return vbase & ~(span - 1);
     return vbase - (vbase % span);
 }
 
 bool
 MixTlb::entryCovers(const Entry &entry, VAddr vaddr) const
 {
-    if (entry.asid != asid_)
+    if (entry.asid != asid_ || vaddr < entry.wbase)
         return false;
-    std::uint64_t span =
-        static_cast<std::uint64_t>(groupSlots(entry.size))
-        * pageBytes(entry.size);
-    if (vaddr < entry.wbase || vaddr >= entry.wbase + span)
+    const std::uint64_t slot =
+        (vaddr - entry.wbase) >> pageShift(entry.size);
+    if (slot >= groupSlots(entry.size))
         return false;
-    auto slot = static_cast<unsigned>((vaddr - entry.wbase)
-                                      / pageBytes(entry.size));
-    return entry.slotPresent(slot, params_.mode);
+    return entry.slotPresent(static_cast<unsigned>(slot), params_.mode);
 }
 
 unsigned
@@ -170,10 +206,15 @@ MixTlb::lookup(VAddr vaddr, bool is_store)
         // Sec. 4.3: the probe tag-compares the whole set, so duplicate
         // mirrors of the matched bundle are visible; collapse them.
         // merge() never touches (wbase, size, asid), so the survivor's
-        // lane tag stays valid.
+        // lane tag stays valid. compatible() requires an equal (wbase,
+        // size, asid), so every duplicate carries the hit's tag: the
+        // lane filters candidates and compatible() confirms them. The
+        // reference scan confirms every payload.
+        const std::uint64_t hit_tag = set.tag(hit);
         for (std::size_t i = 0; i < set.size();) {
-            if (i != hit && compatible(set.payload(hit),
-                                       set.payload(i))) {
+            if (i != hit &&
+                (referenceScan_ || set.tag(i) == hit_tag) &&
+                compatible(set.payload(hit), set.payload(i))) {
                 merge(set.payload(hit), set.payload(i));
                 set.eraseAt(i);
                 if (i < hit)
@@ -206,7 +247,7 @@ MixTlb::buildEntry(const FillInfo &fill) const
 {
     const pt::Translation &leaf = fill.leaf;
     const unsigned group = groupSlots(leaf.size);
-    const std::uint64_t page = pageBytes(leaf.size);
+    const unsigned shift = pageShift(leaf.size);
 
     Entry entry{};
     entry.size = leaf.size;
@@ -216,9 +257,8 @@ MixTlb::buildEntry(const FillInfo &fill) const
                       ? windowBase(leaf.vbase, leaf.size)
                       : leaf.vbase; // floating anchor (ablation)
     const auto leaf_slot =
-        static_cast<unsigned>((leaf.vbase - entry.wbase) / page);
-    entry.wpbase = leaf.pbase - static_cast<std::uint64_t>(leaf_slot)
-                                * page;
+        static_cast<unsigned>(shiftRight(leaf.vbase - entry.wbase, shift));
+    entry.wpbase = leaf.pbase - shiftLeft(leaf_slot, shift);
     entry.dirty = leaf.dirty;
 
     // Candidate membership per window slot, from the walk line and/or
@@ -227,59 +267,76 @@ MixTlb::buildEntry(const FillInfo &fill) const
     // more than 64 slots, and anything past the map simply cannot be
     // coalesced by this fill (shifting past it used to be undefined).
     const bool leaf_tracked = leaf_slot < 64;
+    const unsigned scratch = std::min(group, 64u);
     std::uint64_t present = leaf_tracked ? pow2(leaf_slot) : 0;
     std::uint64_t all_dirty =
         leaf.dirty || !leaf_tracked ? ~0ULL : ~pow2(leaf_slot);
 
-    auto consider = [&](VAddr vbase, PAddr pbase, pt::Perms perms,
-                        bool dirty) {
-        if (perms != leaf.perms)
-            return; // Sec. 4.4: equal permissions only
-        if (vbase < entry.wbase)
-            return;
-        std::uint64_t slot64 = (vbase - entry.wbase) / page;
-        if (slot64 >= group || slot64 >= 64)
-            return; // outside the window or past the scratchpad
-        auto slot = static_cast<unsigned>(slot64);
-        // PA must sit exactly where window-affine contiguity demands.
-        if (pbase != entry.wpbase + slot64 * page)
-            return;
-        present |= pow2(slot);
-        if (!dirty)
-            all_dirty &= ~pow2(slot);
-    };
-
     if (fill.walk && !fill.walk->pageFault() &&
         fill.walk->lineGranularity == leaf.size) {
         for (const auto &slot : fill.walk->line) {
-            // Sec. 4.4: only translations with the accessed bit set may
-            // be coalesced at fill time.
-            if (slot.present && slot.xlate.accessed) {
-                consider(slot.xlate.vbase, slot.xlate.pbase,
-                         slot.xlate.perms, slot.xlate.dirty);
+            // Sec. 4.4: only translations with the accessed bit set and
+            // the leaf's permissions may be coalesced at fill time.
+            const pt::Translation &xlate = slot.xlate;
+            if (!slot.present || !xlate.accessed ||
+                xlate.perms != leaf.perms || xlate.vbase < entry.wbase) {
+                continue;
             }
+            const std::uint64_t s =
+                shiftRight(xlate.vbase - entry.wbase, shift);
+            // Outside the window or past the scratchpad; else the PA
+            // must sit exactly where window-affine contiguity demands.
+            if (s >= scratch ||
+                xlate.pbase != entry.wpbase + shiftLeft(s, shift)) {
+                continue;
+            }
+            present |= pow2(static_cast<unsigned>(s));
+            if (!xlate.dirty)
+                all_dirty &= ~pow2(static_cast<unsigned>(s));
         }
     }
     if (fill.bundle && fill.bundle->size == leaf.size) {
+        // A bundle is one VA- and PA-contiguous run of page-aligned
+        // pages with one perms value and one dirty bit, so its pages
+        // either all pass the per-page checks or none does: they share
+        // the leaf's perms and PA-VA offset, or they do not. Those that
+        // qualify are exactly the bundle's pages inside the window's
+        // first 'scratch' slots, one contiguous slot range.
         const BundleInfo &bundle = *fill.bundle;
-        for (std::uint64_t i = 0; i < bundle.count; i++) {
-            consider(bundle.vbase + i * page, bundle.pbase + i * page,
-                     bundle.perms, bundle.dirty);
+        MIX_AUDIT(pageOffset(bundle.vbase, leaf.size) == 0 &&
+                  pageOffset(bundle.pbase, leaf.size) == 0,
+                  "bundle 0x%llx->0x%llx is not page aligned",
+                  (unsigned long long)bundle.vbase,
+                  (unsigned long long)bundle.pbase);
+        if (bundle.perms == leaf.perms &&
+            bundle.pbase - bundle.vbase == entry.wpbase - entry.wbase) {
+            // Slot range [s0, s1) of the bundle within the window,
+            // counted without forming addresses that could wrap.
+            std::uint64_t s0 = 0;
+            std::uint64_t count = bundle.count;
+            if (bundle.vbase >= entry.wbase) {
+                s0 = shiftRight(bundle.vbase - entry.wbase, shift);
+            } else {
+                const std::uint64_t before =
+                    shiftRight(entry.wbase - bundle.vbase, shift);
+                count = count > before ? count - before : 0;
+            }
+            if (s0 < scratch && count != 0) {
+                const std::uint64_t s1 =
+                    count >= scratch - s0 ? scratch : s0 + count;
+                const std::uint64_t mask = slotRange(
+                    static_cast<unsigned>(s0), static_cast<unsigned>(s1));
+                present |= mask;
+                if (!bundle.dirty)
+                    all_dirty &= ~mask;
+            }
         }
     }
 
     if (leaf.size != PageSize::Size4K &&
         params_.mode == CoalesceMode::Length) {
         // Contiguous run through the leaf slot, holes excluded.
-        auto tracked = [&](unsigned slot) {
-            return slot < 64 && ((present >> (slot & 63)) & 1) != 0;
-        };
-        unsigned lo = leaf_slot;
-        while (lo > 0 && tracked(lo - 1))
-            lo--;
-        unsigned hi = leaf_slot;
-        while (hi + 1 < group && tracked(hi + 1))
-            hi++;
+        const auto [lo, hi] = runAround(present, leaf_slot, group);
         entry.runStart = lo;
         entry.length = hi - lo + 1;
         if (lo >= 64) {
@@ -403,16 +460,13 @@ BundleInfo
 MixTlb::bundleAround(const Entry &entry, VAddr vaddr) const
 {
     const std::uint64_t page = pageBytes(entry.size);
-    auto slot = static_cast<unsigned>((vaddr - entry.wbase) / page);
-    unsigned lo = slot, hi = slot;
+    const auto slot = static_cast<unsigned>((vaddr - entry.wbase)
+                                            >> pageShift(entry.size));
+    unsigned lo, hi;
     if (entry.size == PageSize::Size4K ||
         params_.mode == CoalesceMode::Bitmap) {
-        while (lo > 0 && ((entry.bitmap >> ((lo - 1) & 63)) & 1))
-            lo--;
-        while (hi + 1 < groupSlots(entry.size) &&
-               ((entry.bitmap >> ((hi + 1) & 63)) & 1)) {
-            hi++;
-        }
+        std::tie(lo, hi) =
+            runAround(entry.bitmap, slot, groupSlots(entry.size));
     } else {
         lo = entry.runStart;
         hi = entry.runStart + entry.length - 1;
@@ -443,34 +497,36 @@ MixTlb::invalidate(VAddr vbase, PageSize size, Asid asid)
     // all sets are swept (shootdowns are off the hot lookup path).
     for (auto &set : sets_) {
         set.eraseIf([&](Entry &entry) {
-            const std::uint64_t epage = pageBytes(entry.size);
+            const unsigned shift = pageShift(entry.size);
             const unsigned slots = groupSlots(entry.size);
-            const std::uint64_t span = epage * slots;
+            const std::uint64_t span = std::uint64_t(slots)
+                                       << pageShift(entry.size);
             if (entry.asid != asid || entry.wbase >= hi ||
                 entry.wbase + span <= lo) {
                 return false;
             }
-            // Slots of the entry's window overlapped by [lo, hi).
+            // Slots [s0, s1] of the entry's window overlapped by
+            // [lo, hi); the overlap test above makes s0 <= s1.
             const auto s0 = lo > entry.wbase
-                ? static_cast<unsigned>((lo - entry.wbase) / epage)
+                ? static_cast<unsigned>(shiftRight(lo - entry.wbase, shift))
                 : 0u;
-            const auto s1 = static_cast<unsigned>(
-                std::min<std::uint64_t>(slots - 1,
-                                        (hi - 1 - entry.wbase) / epage));
+            const auto s1 = static_cast<unsigned>(std::min<std::uint64_t>(
+                slots - 1, shiftRight(hi - 1 - entry.wbase, shift)));
             if (entry.size == PageSize::Size4K ||
                 params_.mode == CoalesceMode::Bitmap) {
                 // Sec. 4.4: clear just the covered bits; neighbours
                 // outside the window stay cached (partial trim).
-                for (unsigned s = s0; s <= s1; s++)
-                    entry.bitmap &= ~(1ULL << (s & 63));
+                // Bitmap windows have at most 64 slots, so s1 < 64.
+                entry.bitmap &= ~slotRange(s0, s1 + 1);
                 return entry.bitmap == 0;
             }
             // Length mode: drop the whole bundle if any covered slot
-            // is present (the paper's simple approach).
-            bool present = false;
-            for (unsigned s = s0; s <= s1 && !present; s++)
-                present = entry.slotPresent(s, params_.mode);
-            return present;
+            // is present (the paper's simple approach): the covered
+            // slots [s0, s1] meet the run. A Length window may exceed
+            // 64 slots, so the run is compared as an interval.
+            return entry.length != 0 &&
+                   s0 < entry.runStart + entry.length &&
+                   entry.runStart <= s1;
         });
     }
 }

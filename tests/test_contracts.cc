@@ -19,34 +19,9 @@
 #include "tlb/mix.hh"
 #include "workload/generator.hh"
 
+#include "mix_test_access.hh"
+
 using namespace mixtlb;
-
-namespace mixtlb::tlb
-{
-
-/** Backdoor used only here: reach into a set and break an invariant. */
-struct MixTlbTestAccess
-{
-    static void
-    shiftAnchor(MixTlb &tlb, unsigned set, std::uint64_t delta)
-    {
-        tlb.sets_.at(set).payload(0).wpbase += delta;
-    }
-
-    static void
-    setBitmap(MixTlb &tlb, unsigned set, std::uint64_t bitmap)
-    {
-        tlb.sets_.at(set).payload(0).bitmap = bitmap;
-    }
-
-    static void
-    setDirtyFlag(MixTlb &tlb, unsigned set, bool dirty)
-    {
-        tlb.sets_.at(set).payload(0).dirty = dirty;
-    }
-};
-
-} // namespace mixtlb::tlb
 
 namespace mixtlb::mem
 {

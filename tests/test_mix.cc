@@ -7,11 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "common/intmath.hh"
 #include "common/random.hh"
 #include "mem/phys_mem.hh"
 #include "pt/page_table.hh"
 #include "pt/walker.hh"
 #include "tlb/mix.hh"
+
+#include "mix_test_access.hh"
 
 using namespace mixtlb;
 using namespace mixtlb::tlb;
@@ -475,3 +481,303 @@ TEST(MixParams, RejectsColtWindowBeyondBitmap)
     EXPECT_EXIT({ MixTlb tlb("bad", &root, params); },
                 ::testing::ExitedWithCode(1), "colt4k");
 }
+
+namespace
+{
+
+using Entry = MixTlbTestAccess::Entry;
+
+/**
+ * MixTlb::buildEntry in its per-page form: every walk-line slot and
+ * every bundle page is checked on its own (perms, window, PA
+ * affinity), with divides, and runs are walked bit by bit. The oracle
+ * for BundleIntersection.MatchesPerPageReference, which checks that
+ * the slot-range intersection builds the same entry.
+ */
+Entry
+referenceBuildEntry(const MixTlbParams &params, unsigned max_coalesce,
+                    const FillInfo &fill)
+{
+    const pt::Translation &leaf = fill.leaf;
+    const unsigned group =
+        leaf.size == PageSize::Size4K ? params.colt4k : max_coalesce;
+    const std::uint64_t page = pageBytes(leaf.size);
+    const std::uint64_t span = group * page;
+
+    Entry entry{};
+    entry.size = leaf.size;
+    entry.asid = 0;
+    entry.perms = leaf.perms;
+    entry.wbase = params.alignmentRestricted
+                      ? leaf.vbase - leaf.vbase % span
+                      : leaf.vbase;
+    const auto leaf_slot =
+        static_cast<unsigned>((leaf.vbase - entry.wbase) / page);
+    entry.wpbase = leaf.pbase - leaf_slot * page;
+    entry.dirty = leaf.dirty;
+
+    const bool leaf_tracked = leaf_slot < 64;
+    std::uint64_t present = leaf_tracked ? pow2(leaf_slot) : 0;
+    std::uint64_t all_dirty =
+        leaf.dirty || !leaf_tracked ? ~0ULL : ~pow2(leaf_slot);
+    auto consider = [&](VAddr vbase, PAddr pbase, pt::Perms perms,
+                        bool dirty) {
+        if (perms != leaf.perms || vbase < entry.wbase)
+            return;
+        const std::uint64_t slot = (vbase - entry.wbase) / page;
+        if (slot >= group || slot >= 64)
+            return;
+        if (pbase != entry.wpbase + slot * page)
+            return;
+        present |= pow2(static_cast<unsigned>(slot));
+        if (!dirty)
+            all_dirty &= ~pow2(static_cast<unsigned>(slot));
+    };
+    if (fill.walk && !fill.walk->pageFault() &&
+        fill.walk->lineGranularity == leaf.size) {
+        for (const auto &slot : fill.walk->line) {
+            if (slot.present && slot.xlate.accessed) {
+                consider(slot.xlate.vbase, slot.xlate.pbase,
+                         slot.xlate.perms, slot.xlate.dirty);
+            }
+        }
+    }
+    if (fill.bundle && fill.bundle->size == leaf.size) {
+        const BundleInfo &bundle = *fill.bundle;
+        for (std::uint64_t i = 0; i < bundle.count; i++) {
+            consider(bundle.vbase + i * page, bundle.pbase + i * page,
+                     bundle.perms, bundle.dirty);
+        }
+    }
+
+    auto tracked = [&](unsigned slot) {
+        return slot < 64 && ((present >> (slot & 63)) & 1) != 0;
+    };
+    if (leaf.size != PageSize::Size4K &&
+        params.mode == CoalesceMode::Length) {
+        unsigned lo = leaf_slot;
+        while (lo > 0 && tracked(lo - 1))
+            lo--;
+        unsigned hi = leaf_slot;
+        while (hi + 1 < group && tracked(hi + 1))
+            hi++;
+        entry.runStart = lo;
+        entry.length = hi - lo + 1;
+        if (lo >= 64) {
+            entry.dirty = leaf.dirty;
+        } else {
+            const std::uint64_t run_mask =
+                entry.length >= 64 ? ~0ULL
+                                   : shiftLeft(pow2(entry.length) - 1, lo);
+            entry.dirty = (all_dirty & run_mask) == run_mask;
+        }
+    } else {
+        entry.bitmap = present;
+        entry.dirty = (all_dirty & present) == present;
+    }
+    return entry;
+}
+
+bool
+referencePresent(const Entry &entry, unsigned slot, CoalesceMode mode)
+{
+    if (entry.size == PageSize::Size4K || mode == CoalesceMode::Bitmap)
+        return slot < 64 && ((entry.bitmap >> (slot & 63)) & 1) != 0;
+    return slot >= entry.runStart && slot < entry.runStart + entry.length;
+}
+
+/** The bundle a hit on @p slot reports, by the per-bit walk. */
+BundleInfo
+referenceBundle(const Entry &entry, unsigned slot, unsigned group,
+                CoalesceMode mode)
+{
+    unsigned lo = slot, hi = slot;
+    if (entry.size == PageSize::Size4K || mode == CoalesceMode::Bitmap) {
+        while (lo > 0 && referencePresent(entry, lo - 1, mode))
+            lo--;
+        while (hi + 1 < group && referencePresent(entry, hi + 1, mode))
+            hi++;
+    } else {
+        lo = entry.runStart;
+        hi = entry.runStart + entry.length - 1;
+    }
+    const std::uint64_t page = pageBytes(entry.size);
+    BundleInfo bundle;
+    bundle.vbase = entry.wbase + lo * page;
+    bundle.pbase = entry.wpbase + lo * page;
+    bundle.size = entry.size;
+    bundle.count = hi - lo + 1;
+    bundle.perms = entry.perms;
+    bundle.dirty = entry.dirty;
+    return bundle;
+}
+
+struct BundleGeometry
+{
+    const char *name;
+    std::uint64_t entries;
+    unsigned assoc;
+    CoalesceMode mode;
+    unsigned colt4k;
+    bool aligned;
+    PageSize size;
+};
+
+class BundleIntersection : public ::testing::TestWithParam<BundleGeometry>
+{
+};
+
+} // anonymous namespace
+
+// Seeded fills carrying a walk line and/or an upper-level bundle. The
+// bundles straddle either window edge, start past slot 63 (68-slot L2
+// windows), sit one page off the window's PA affinity, carry other
+// perms, are clean or dirty, and hold 1 to 200 pages. The built entry
+// and every window slot's lookup on a fresh TLB must match the
+// per-page reference.
+TEST_P(BundleIntersection, MatchesPerPageReference)
+{
+    const BundleGeometry &geometry = GetParam();
+    MixTlbParams params;
+    params.entries = geometry.entries;
+    params.assoc = geometry.assoc;
+    params.mode = geometry.mode;
+    params.colt4k = geometry.colt4k;
+    params.alignmentRestricted = geometry.aligned;
+    const PageSize size = geometry.size;
+    const std::uint64_t page = pageBytes(size);
+    const pt::Perms perms[2] = {pt::Perms{}, pt::Perms{false, true, true}};
+
+    Rng rng(0x5eed + static_cast<unsigned>(size));
+    for (int iter = 0; iter < 600; iter++) {
+        SCOPED_TRACE(testing::Message() << "fill " << iter);
+        stats::StatGroup root("bundle");
+        MixTlb tlb("mix", &root, params);
+        const unsigned group = size == PageSize::Size4K
+                                   ? params.colt4k
+                                   : tlb.maxCoalesce();
+        const std::uint64_t span = group * page;
+
+        // The leaf: a random slot of a random window.
+        const VAddr region = (1ULL << 44) + rng.nextBounded(1ULL << 40);
+        const VAddr wbase = region - region % span;
+        const unsigned leaf_slot =
+            static_cast<unsigned>(rng.nextBounded(group));
+        FillInfo fill;
+        fill.leaf.vbase = wbase + leaf_slot * page;
+        fill.leaf.pbase =
+            (1ULL << 40) + rng.nextBounded(1ULL << 16) * page;
+        fill.leaf.size = size;
+        fill.leaf.perms = perms[rng.nextBounded(2)];
+        fill.leaf.accessed = true;
+        fill.leaf.dirty = rng.chance(0.5);
+        fill.vaddr = fill.leaf.vbase + rng.nextBounded(page);
+        // The window the entry will anchor (floating: at the leaf).
+        const VAddr anchor = geometry.aligned ? wbase : fill.leaf.vbase;
+        const PAddr panchor =
+            fill.leaf.pbase - (fill.leaf.vbase - anchor);
+
+        pt::WalkResult walk;
+        if (rng.chance(0.5)) {
+            // A walk line of 8 slots around the leaf, some off the
+            // window's PA affinity, unaccessed, or of other perms.
+            walk.leaf = fill.leaf;
+            walk.lineGranularity = size;
+            const VAddr line = fill.leaf.vbase - (leaf_slot % 8) * page;
+            for (unsigned i = 0; i < 8; i++) {
+                pt::LinePte pte;
+                pte.present = rng.chance(0.8);
+                pte.xlate.vbase = line + i * page;
+                pte.xlate.pbase = panchor + (pte.xlate.vbase - anchor) +
+                                  (rng.chance(0.2) ? page : 0);
+                pte.xlate.size = size;
+                pte.xlate.perms =
+                    rng.chance(0.85) ? fill.leaf.perms : perms[1];
+                pte.xlate.accessed = rng.chance(0.85);
+                pte.xlate.dirty = rng.chance(0.5);
+                walk.line.push_back(pte);
+            }
+            fill.walk = &walk;
+        }
+        if (rng.chance(0.9)) {
+            BundleInfo bundle;
+            bundle.count = 1 + rng.nextBounded(200);
+            // Start slot relative to the anchor: anywhere from fully
+            // below the window to past its end, or past slot 63.
+            std::int64_t start;
+            if (group > 64 && rng.chance(0.2)) {
+                start = 60 + static_cast<std::int64_t>(
+                                 rng.nextBounded(group - 56));
+            } else {
+                const auto lo = -static_cast<std::int64_t>(bundle.count) - 2;
+                start = lo + static_cast<std::int64_t>(rng.nextBounded(
+                                 static_cast<std::uint64_t>(group + 4 - lo)));
+            }
+            const auto offset = static_cast<std::uint64_t>(start) * page;
+            bundle.vbase = anchor + offset;
+            bundle.pbase = panchor + offset;
+            if (rng.chance(0.2))
+                bundle.pbase += rng.chance(0.5) ? page : 0 - page;
+            bundle.size = rng.chance(0.95) ? size
+                                           : (size == PageSize::Size2M
+                                                  ? PageSize::Size1G
+                                                  : PageSize::Size2M);
+            bundle.perms = rng.chance(0.8) ? fill.leaf.perms : perms[1];
+            bundle.dirty = rng.chance(0.5);
+            fill.bundle = bundle;
+        }
+
+        const Entry want =
+            referenceBuildEntry(params, tlb.maxCoalesce(), fill);
+        const Entry got = MixTlbTestAccess::buildEntry(tlb, fill);
+        ASSERT_EQ(got.size, want.size);
+        ASSERT_EQ(got.wbase, want.wbase);
+        ASSERT_EQ(got.wpbase, want.wpbase);
+        ASSERT_EQ(got.bitmap, want.bitmap);
+        ASSERT_EQ(got.runStart, want.runStart);
+        ASSERT_EQ(got.length, want.length);
+        ASSERT_EQ(got.perms, want.perms);
+        ASSERT_EQ(got.dirty, want.dirty);
+
+        tlb.fill(fill);
+        for (unsigned slot = 0; slot < group; slot++) {
+            SCOPED_TRACE(testing::Message() << "slot " << slot);
+            const VAddr va = want.wbase + slot * page + (page - 1) / 2;
+            const auto result = tlb.lookup(va, false);
+            const bool present =
+                referencePresent(want, slot, params.mode);
+            ASSERT_EQ(result.hit, present);
+            if (!present)
+                continue;
+            EXPECT_EQ(result.entryDirty, want.dirty);
+            EXPECT_EQ(result.xlate.translate(va),
+                      want.wpbase + (va - want.wbase));
+            const BundleInfo ref =
+                referenceBundle(want, slot, group, params.mode);
+            ASSERT_TRUE(result.bundle.has_value());
+            EXPECT_EQ(result.bundle->vbase, ref.vbase);
+            EXPECT_EQ(result.bundle->pbase, ref.pbase);
+            EXPECT_EQ(result.bundle->count, ref.count);
+            EXPECT_EQ(result.bundle->dirty, ref.dirty);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, BundleIntersection,
+    ::testing::Values(
+        BundleGeometry{"L1Bitmap2M", 96, 6, CoalesceMode::Bitmap, 1, true,
+                       PageSize::Size2M},
+        BundleGeometry{"L1Bitmap1G", 96, 6, CoalesceMode::Bitmap, 1, true,
+                       PageSize::Size1G},
+        BundleGeometry{"L2Length2M", 544, 8, CoalesceMode::Length, 1,
+                       true, PageSize::Size2M},
+        BundleGeometry{"Colt4K", 96, 6, CoalesceMode::Bitmap, 4, true,
+                       PageSize::Size4K},
+        BundleGeometry{"FloatingL1", 96, 6, CoalesceMode::Bitmap, 1,
+                       false, PageSize::Size2M},
+        BundleGeometry{"FloatingL2", 544, 8, CoalesceMode::Length, 1,
+                       false, PageSize::Size2M}),
+    [](const ::testing::TestParamInfo<BundleGeometry> &info) {
+        return std::string(info.param.name);
+    });

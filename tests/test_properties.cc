@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <list>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -374,6 +375,48 @@ statDump(stats::StatGroup &group)
     return os.str();
 }
 
+/**
+ * The bundle an upper-level TLB would hand down with @p leaf: the run
+ * of same-size, same-perms pages around it that @p table maps VA- and
+ * PA-contiguously, clipped to a random reach of under 80 pages each
+ * way. Some bundles are then broken on purpose (PA one page off, or
+ * other perms), which a fill must reject as a whole.
+ */
+BundleInfo
+bundleFromTable(const pt::PageTable &table, const pt::Translation &leaf,
+                Rng &rng)
+{
+    const std::uint64_t page = pageBytes(leaf.size);
+    const auto contiguous = [&](VAddr vbase) {
+        auto xlate = table.translate(vbase);
+        return xlate && xlate->size == leaf.size &&
+               xlate->perms == leaf.perms &&
+               xlate->pbase - xlate->vbase == leaf.pbase - leaf.vbase;
+    };
+    VAddr lo = leaf.vbase;
+    VAddr hi = leaf.vbase + page;
+    for (auto reach = rng.nextBounded(80);
+         reach > 0 && lo >= page && contiguous(lo - page); reach--) {
+        lo -= page;
+    }
+    for (auto reach = rng.nextBounded(80);
+         reach > 0 && contiguous(hi); reach--) {
+        hi += page;
+    }
+    BundleInfo bundle;
+    bundle.vbase = lo;
+    bundle.pbase = leaf.pbase - (leaf.vbase - lo);
+    bundle.size = leaf.size;
+    bundle.count = (hi - lo) / page;
+    bundle.perms = leaf.perms;
+    bundle.dirty = rng.chance(0.5);
+    if (rng.chance(0.15))
+        bundle.pbase += page;
+    else if (rng.chance(0.15))
+        bundle.perms.writable = !bundle.perms.writable;
+    return bundle;
+}
+
 template <typename Build>
 void
 compareScanModes(Build &&build, std::uint64_t seed)
@@ -386,20 +429,30 @@ compareScanModes(Build &&build, std::uint64_t seed)
     Arena soa_arena(seed);
     auto soa = build(&soa_arena.root);
 
+    // About 30% of fills also carry a bundle, as an L2 hit's refill
+    // of L1 does. Its own generator leaves the op stream unchanged.
+    Rng bundle_rng(seed * 0x2545f4914f6cdd1dULL + 3);
     const auto fillBoth = [&](VAddr va, bool store) {
         auto ref_walk = ref_arena.walker.walk(va, store);
         auto soa_walk = soa_arena.walker.walk(va, store);
         ASSERT_FALSE(ref_walk.pageFault());
         ASSERT_FALSE(soa_walk.pageFault());
+        std::optional<BundleInfo> bundle;
+        if (bundle_rng.chance(0.3)) {
+            bundle = bundleFromTable(ref_arena.table, *ref_walk.leaf,
+                                     bundle_rng);
+        }
         FillInfo ref_fill;
         ref_fill.leaf = *ref_walk.leaf;
         ref_fill.vaddr = va;
         ref_fill.walk = &ref_walk;
+        ref_fill.bundle = bundle;
         ref->fill(ref_fill);
         FillInfo soa_fill;
         soa_fill.leaf = *soa_walk.leaf;
         soa_fill.vaddr = va;
         soa_fill.walk = &soa_walk;
+        soa_fill.bundle = bundle;
         soa->fill(soa_fill);
     };
 
