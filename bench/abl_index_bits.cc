@@ -39,13 +39,14 @@ main(int argc, char **argv)
         config.design = TlbDesign::MixSuperIndex;
         auto ablated = runNative(config);
 
-        double ratio = normal.l1MissRate > 0
-                           ? ablated.l1MissRate / normal.l1MissRate
-                           : 0.0;
+        const double normal_miss = valueAt(normal, "metrics.l1_miss_rate");
+        const double ablated_miss =
+            valueAt(ablated, "metrics.l1_miss_rate");
+        double ratio = normal_miss > 0 ? ablated_miss / normal_miss : 0.0;
         ratio_sum += ratio;
         count++;
-        table.addRow({workload, Table::fmt(100 * normal.l1MissRate),
-                      Table::fmt(100 * ablated.l1MissRate),
+        table.addRow({workload, Table::fmt(100 * normal_miss),
+                      Table::fmt(100 * ablated_miss),
                       Table::fmt(ratio, 1)});
     }
     table.print();

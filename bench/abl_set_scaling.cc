@@ -38,14 +38,13 @@ main(int argc, char **argv)
             config.scale = ConfigScale{scale};
             auto mix = runNative(config);
             double gap = 100.0
-                         * (mix.metrics.totalCycles
-                                / ideal.metrics.totalCycles
+                         * (valueAt(mix, "metrics.total_cycles")
+                                / valueAt(ideal, "metrics.total_cycles")
                             - 1.0);
+            double overhead = valueAt(mix, "metrics.overhead_fraction");
             table.addRow({workload, std::to_string(16 * scale),
                           std::to_string(68 * scale),
-                          Table::fmt(100
-                                     * mix.metrics.overheadFraction()),
-                          Table::fmt(gap)});
+                          Table::fmt(100 * overhead), Table::fmt(gap)});
         }
         config.scale = ConfigScale{1};
     }

@@ -1,10 +1,12 @@
 #include "bench_common.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 
 #include "common/contracts.hh"
 #include "common/logging.hh"
+#include "perf/energy_model.hh"
 
 namespace mixtlb::bench
 {
@@ -13,43 +15,50 @@ namespace
 {
 
 /**
- * Add every process's THP fallbacks and lifecycle counters into
- * @p result. Called once before startMeasurement() (warmup is where
- * allocation happens, and the stat reset would discard it) and once
- * after the run.
+ * The process lifecycle counters a record reports, under their stat
+ * names: THS superpage requests that fell back to 4KB pages,
+ * superpage demotions, frames freed by reclaim, demoted regions
+ * re-promoted, and the OOM-path observability counters. Each is
+ * summed over every process and over the whole run including warmup
+ * (warmup is where allocation happens, and the stat reset at
+ * startMeasurement() would otherwise discard it). The fault and
+ * pressure soaks assert these go nonzero under injection.
  */
+constexpr std::array<const char *, 7> LifecycleStats = {
+    "thp_fallbacks", "demotions", "reclaims", "repromotions",
+    "oom_retries", "demote_rescues", "compaction_rescues"};
+
+using LifecycleCounts = std::array<double, LifecycleStats.size()>;
+
+/** Add every process's lifecycle counters into @p counts. */
 void
-addProcessStats(sim::MachineCore &machine, RunResult &result)
+addLifecycle(sim::MachineCore &machine, LifecycleCounts &counts)
 {
     for (unsigned i = 0; i < machine.numProcesses(); i++) {
         const stats::StatGroup &group = machine.process(i).statGroup();
-        result.thpFallbacks += group.value("thp_fallbacks");
-        result.demotions += group.value("demotions");
-        result.reclaims += group.value("reclaims");
-        result.repromotions += group.value("repromotions");
-        result.oomRetries += group.value("oom_retries");
-        result.demoteRescues += group.value("demote_rescues");
-        result.compactionRescues += group.value("compaction_rescues");
+        for (std::size_t s = 0; s < LifecycleStats.size(); s++)
+            counts[s] += group.value(LifecycleStats[s]);
     }
 }
 
-/** Start the measured window, keeping the warmup's process stats. */
-RunResult
+/** Start the measured window; returns the warmup's lifecycle counts. */
+LifecycleCounts
 startMeasurement(sim::MachineCore &machine)
 {
-    RunResult result;
-    addProcessStats(machine, result);
+    LifecycleCounts warmup{};
+    addLifecycle(machine, warmup);
     machine.startMeasurement();
-    return result;
+    return warmup;
 }
 
-/** The one RunResult summary every machine kind shares. */
-void
-summarize(sim::MachineCore &machine, RunResult &result)
+/** The one record every machine kind's run produces. */
+RunResult
+summarize(sim::MachineCore &machine, LifecycleCounts lifecycle)
 {
-    addProcessStats(machine, result);
-    result.metrics = machine.metrics();
-    result.energy = machine.energyInputs();
+    addLifecycle(machine, lifecycle);
+    const perf::RunMetrics run = machine.metrics();
+    const perf::EnergyInputs inputs = machine.energyInputs();
+    const os::PageSizeDistribution dist = machine.distribution();
     double accesses = 0, l1_hits = 0, walks = 0, walk_accesses = 0;
     for (unsigned i = 0; i < machine.numHierarchies(); i++) {
         const tlb::TlbHierarchy &hier = machine.hierarchy(i);
@@ -58,10 +67,56 @@ summarize(sim::MachineCore &machine, RunResult &result)
         walks += hier.walkCount();
         walk_accesses += hier.walkAccessCount();
     }
-    result.l1MissRate = 1.0 - l1_hits / accesses;
-    result.walksPerKref = 1000.0 * walks / accesses;
-    result.accessesPerWalk = walks > 0 ? walk_accesses / walks : 0.0;
-    result.distribution = machine.distribution();
+    const double l1_miss_rate = 1.0 - l1_hits / accesses;
+
+    auto out = json::Value::object();
+    auto &metrics = out["metrics"];
+    metrics["refs"] = run.refs;
+    metrics["translation_cycles"] = run.translationCycles;
+    metrics["base_cycles"] = run.baseCycles;
+    metrics["overhead_cycles"] = run.overheadCycles;
+    metrics["total_cycles"] = run.totalCycles;
+    metrics["overhead_fraction"] = run.overheadFraction();
+    metrics["l1_hit_rate"] = 1.0 - l1_miss_rate;
+    metrics["l1_miss_rate"] = l1_miss_rate;
+    metrics["walks_per_kref"] = 1000.0 * walks / accesses;
+    metrics["accesses_per_walk"] =
+        walks > 0 ? walk_accesses / walks : 0.0;
+    metrics["superpage_fraction"] = dist.superpageFraction();
+    for (std::size_t s = 0; s < LifecycleStats.size(); s++)
+        metrics[LifecycleStats[s]] = lifecycle[s];
+
+    auto &energy = out["energy"];
+    energy["l1_ways_read"] = inputs.l1WaysRead;
+    energy["l2_ways_read"] = inputs.l2WaysRead;
+    energy["l1_entries"] = inputs.l1Entries;
+    energy["l2_entries"] = inputs.l2Entries;
+    energy["l1_fills"] = inputs.l1Fills;
+    energy["l2_fills"] = inputs.l2Fills;
+    energy["fill_burst_factor"] = inputs.fillBurstFactor;
+    energy["walk_accesses"] = inputs.walkAccesses;
+    energy["walk_dram_accesses"] = inputs.walkDramAccesses;
+    energy["dirty_ops"] = inputs.dirtyOps;
+    energy["invalidations"] = inputs.invalidations;
+    energy["predictor_lookups"] = inputs.predictorLookups;
+    energy["skew_timestamps"] = inputs.skewTimestamps;
+    energy["total_cycles"] = inputs.totalCycles;
+    const auto breakdown = perf::EnergyModel{}.compute(inputs);
+    energy["lookup_pj"] = breakdown.lookup;
+    energy["walk_pj"] = breakdown.walk;
+    energy["fill_pj"] = breakdown.fill;
+    energy["other_pj"] = breakdown.other;
+    energy["leakage_pj"] = breakdown.leakage;
+    energy["total_pj"] = breakdown.total();
+    energy["pj_per_access"] =
+        run.refs ? breakdown.total() / static_cast<double>(run.refs)
+                 : 0.0;
+
+    auto &distribution = out["distribution"];
+    distribution["bytes_4k"] = dist.bytes4k;
+    distribution["bytes_2m"] = dist.bytes2m;
+    distribution["bytes_1g"] = dist.bytes1g;
+    return out;
 }
 
 } // anonymous namespace
@@ -84,13 +139,12 @@ runNative(const NativeRunConfig &config)
 
     VAddr base = machine.mapArena(config.footprintBytes);
     machine.warmup(base, config.footprintBytes, config.warmStep);
-    RunResult result = startMeasurement(machine);
+    const LifecycleCounts warmup = startMeasurement(machine);
     auto gen = workload::makeGenerator(config.workload, base,
                                        config.footprintBytes,
                                        config.seed);
     machine.run(*gen, config.refs);
-    summarize(machine, result);
-    return result;
+    return summarize(machine, warmup);
 }
 
 RunResult
@@ -117,15 +171,14 @@ runVirt(const VirtRunConfig &config)
         bases.push_back(machine.mapArena(vm, footprint));
         machine.warmup(vm, bases[vm], footprint);
     }
-    RunResult result = startMeasurement(machine);
+    const LifecycleCounts warmup = startMeasurement(machine);
     for (unsigned vm = 0; vm < config.numVms; vm++) {
         auto gen = workload::makeGenerator(config.workload, bases[vm],
                                            footprint,
                                            config.seed + vm);
         machine.run(vm, *gen, config.refsPerVm);
     }
-    summarize(machine, result);
-    return result;
+    return summarize(machine, warmup);
 }
 
 RunResult
@@ -143,7 +196,7 @@ runGpu(const GpuRunConfig &config)
 
     VAddr base = machine.mapArena(config.footprintBytes);
     machine.warmup(base, config.footprintBytes);
-    RunResult result = startMeasurement(machine);
+    const LifecycleCounts warmup = startMeasurement(machine);
     for (unsigned core = 0; core < config.cores; core++) {
         machine.attachWorkload(
             core, workload::makeGenerator(config.kernel, base,
@@ -151,8 +204,7 @@ runGpu(const GpuRunConfig &config)
                                           config.seed + core));
     }
     machine.run(config.refs);
-    summarize(machine, result);
-    return result;
+    return summarize(machine, warmup);
 }
 
 RunResult
@@ -193,7 +245,7 @@ runMulti(const MultiRunConfig &config)
             machine.mapArena(i, config.footprintPerProc));
         machine.warmup(i, bases[i], config.footprintPerProc);
     }
-    RunResult result = startMeasurement(machine);
+    const LifecycleCounts warmup = startMeasurement(machine);
     for (unsigned i = 0; i < config.numProcs; i++) {
         machine.attachWorkload(
             i, workload::makeGenerator(
@@ -202,11 +254,14 @@ runMulti(const MultiRunConfig &config)
                    sim::sweepPointSeed(config.seed, i)));
     }
     machine.run(config.refsPerProc);
-    summarize(machine, result);
+    RunResult result = summarize(machine, warmup);
+    auto &multi = result["multi"];
+    multi["context_switches"] = machine.contextSwitches();
+    multi["full_flushes"] = machine.fullFlushes();
+    auto rates = json::Value::array();
     for (unsigned i = 0; i < config.numProcs; i++)
-        result.procL1MissRates.push_back(machine.procL1MissRate(i));
-    result.contextSwitches = machine.contextSwitches();
-    result.fullFlushes = machine.fullFlushes();
+        rates.push(machine.procL1MissRate(i));
+    multi["proc_l1_miss_rates"] = std::move(rates);
     return result;
 }
 
@@ -313,162 +368,21 @@ configJson(const SweepJob &job)
     return out;
 }
 
-json::Value
-resultJson(const RunResult &result)
-{
-    auto out = json::Value::object();
-
-    auto &metrics = out["metrics"];
-    metrics["refs"] = result.metrics.refs;
-    metrics["translation_cycles"] = result.metrics.translationCycles;
-    metrics["base_cycles"] = result.metrics.baseCycles;
-    metrics["overhead_cycles"] = result.metrics.overheadCycles;
-    metrics["total_cycles"] = result.metrics.totalCycles;
-    metrics["overhead_fraction"] = result.metrics.overheadFraction();
-    metrics["l1_hit_rate"] = 1.0 - result.l1MissRate;
-    metrics["l1_miss_rate"] = result.l1MissRate;
-    metrics["walks_per_kref"] = result.walksPerKref;
-    metrics["accesses_per_walk"] = result.accessesPerWalk;
-    metrics["superpage_fraction"] =
-        result.distribution.superpageFraction();
-    metrics["thp_fallbacks"] = result.thpFallbacks;
-    metrics["demotions"] = result.demotions;
-    metrics["reclaims"] = result.reclaims;
-    metrics["repromotions"] = result.repromotions;
-    metrics["oom_retries"] = result.oomRetries;
-    metrics["demote_rescues"] = result.demoteRescues;
-    metrics["compaction_rescues"] = result.compactionRescues;
-
-    auto &energy = out["energy"];
-    energy["l1_ways_read"] = result.energy.l1WaysRead;
-    energy["l2_ways_read"] = result.energy.l2WaysRead;
-    energy["l1_entries"] = result.energy.l1Entries;
-    energy["l2_entries"] = result.energy.l2Entries;
-    energy["l1_fills"] = result.energy.l1Fills;
-    energy["l2_fills"] = result.energy.l2Fills;
-    energy["fill_burst_factor"] = result.energy.fillBurstFactor;
-    energy["walk_accesses"] = result.energy.walkAccesses;
-    energy["walk_dram_accesses"] = result.energy.walkDramAccesses;
-    energy["dirty_ops"] = result.energy.dirtyOps;
-    energy["invalidations"] = result.energy.invalidations;
-    energy["predictor_lookups"] = result.energy.predictorLookups;
-    energy["skew_timestamps"] = result.energy.skewTimestamps;
-    energy["total_cycles"] = result.energy.totalCycles;
-    auto breakdown = perf::EnergyModel{}.compute(result.energy);
-    energy["lookup_pj"] = breakdown.lookup;
-    energy["walk_pj"] = breakdown.walk;
-    energy["fill_pj"] = breakdown.fill;
-    energy["other_pj"] = breakdown.other;
-    energy["leakage_pj"] = breakdown.leakage;
-    energy["total_pj"] = breakdown.total();
-    energy["pj_per_access"] =
-        result.metrics.refs
-            ? breakdown.total()
-                  / static_cast<double>(result.metrics.refs)
-            : 0.0;
-
-    auto &distribution = out["distribution"];
-    distribution["bytes_4k"] = result.distribution.bytes4k;
-    distribution["bytes_2m"] = result.distribution.bytes2m;
-    distribution["bytes_1g"] = result.distribution.bytes1g;
-
-    if (!result.procL1MissRates.empty()) {
-        auto &multi = out["multi"];
-        multi["context_switches"] = result.contextSwitches;
-        multi["full_flushes"] = result.fullFlushes;
-        auto rates = json::Value::array();
-        for (double rate : result.procL1MissRates)
-            rates.push(rate);
-        multi["proc_l1_miss_rates"] = std::move(rates);
-    }
-    return out;
-}
-
-namespace
-{
-
 double
-numberAt(const json::Value &object, const char *key)
+valueAt(const RunResult &result, const std::string &path)
 {
-    const json::Value *value = object.find(key);
-    return value ? value->number() : 0.0;
-}
-
-} // anonymous namespace
-
-RunResult
-resultFromJson(const json::Value &record)
-{
-    RunResult result;
-    const json::Value *metrics = record.find("metrics");
-    if (metrics) {
-        result.metrics.refs = static_cast<std::uint64_t>(
-            numberAt(*metrics, "refs"));
-        result.metrics.translationCycles =
-            numberAt(*metrics, "translation_cycles");
-        result.metrics.baseCycles = numberAt(*metrics, "base_cycles");
-        result.metrics.overheadCycles =
-            numberAt(*metrics, "overhead_cycles");
-        result.metrics.totalCycles = numberAt(*metrics, "total_cycles");
-        result.l1MissRate = numberAt(*metrics, "l1_miss_rate");
-        result.walksPerKref = numberAt(*metrics, "walks_per_kref");
-        result.accessesPerWalk =
-            numberAt(*metrics, "accesses_per_walk");
-        result.thpFallbacks = numberAt(*metrics, "thp_fallbacks");
-        result.demotions = numberAt(*metrics, "demotions");
-        result.reclaims = numberAt(*metrics, "reclaims");
-        result.repromotions = numberAt(*metrics, "repromotions");
-        result.oomRetries = numberAt(*metrics, "oom_retries");
-        result.demoteRescues = numberAt(*metrics, "demote_rescues");
-        result.compactionRescues =
-            numberAt(*metrics, "compaction_rescues");
+    const json::Value *status = result.find("status");
+    if (status && status->str() == "failed")
+        return 0.0;
+    const json::Value *value = &result;
+    for (std::size_t pos = 0; value && pos <= path.size();) {
+        const std::size_t dot = std::min(path.find('.', pos), path.size());
+        value = value->find(path.substr(pos, dot - pos));
+        pos = dot + 1;
     }
-    const json::Value *energy = record.find("energy");
-    if (energy) {
-        result.energy.l1WaysRead = numberAt(*energy, "l1_ways_read");
-        result.energy.l2WaysRead = numberAt(*energy, "l2_ways_read");
-        result.energy.l1Entries = static_cast<std::uint64_t>(
-            numberAt(*energy, "l1_entries"));
-        result.energy.l2Entries = static_cast<std::uint64_t>(
-            numberAt(*energy, "l2_entries"));
-        result.energy.l1Fills = numberAt(*energy, "l1_fills");
-        result.energy.l2Fills = numberAt(*energy, "l2_fills");
-        result.energy.fillBurstFactor =
-            numberAt(*energy, "fill_burst_factor");
-        result.energy.walkAccesses = numberAt(*energy, "walk_accesses");
-        result.energy.walkDramAccesses =
-            numberAt(*energy, "walk_dram_accesses");
-        result.energy.dirtyOps = numberAt(*energy, "dirty_ops");
-        result.energy.invalidations =
-            numberAt(*energy, "invalidations");
-        result.energy.predictorLookups =
-            numberAt(*energy, "predictor_lookups");
-        const json::Value *skew = energy->find("skew_timestamps");
-        result.energy.skewTimestamps = skew && skew->boolean();
-        result.energy.totalCycles = numberAt(*energy, "total_cycles");
-    }
-    const json::Value *multi = record.find("multi");
-    if (multi) {
-        result.contextSwitches = numberAt(*multi, "context_switches");
-        result.fullFlushes = numberAt(*multi, "full_flushes");
-        if (const json::Value *rates =
-                multi->find("proc_l1_miss_rates")) {
-            for (const auto &[key, rate] : rates->members()) {
-                (void)key;
-                result.procL1MissRates.push_back(rate.number());
-            }
-        }
-    }
-    const json::Value *distribution = record.find("distribution");
-    if (distribution) {
-        result.distribution.bytes4k = static_cast<std::uint64_t>(
-            numberAt(*distribution, "bytes_4k"));
-        result.distribution.bytes2m = static_cast<std::uint64_t>(
-            numberAt(*distribution, "bytes_2m"));
-        result.distribution.bytes1g = static_cast<std::uint64_t>(
-            numberAt(*distribution, "bytes_1g"));
-    }
-    return result;
+    panic_if(!value || !value->isNumber(),
+             "run result has no number at '%s'", path.c_str());
+    return value->number();
 }
 
 namespace
@@ -509,12 +423,8 @@ makeRecord(const SweepJob &job, const RunResult &result,
     record["status"] = status.ok ? "ok" : "failed";
     record["attempts"] = status.attempts;
     if (status.ok) {
-        auto blocks = resultJson(result);
-        record["metrics"] = blocks["metrics"];
-        record["energy"] = blocks["energy"];
-        record["distribution"] = blocks["distribution"];
-        if (const json::Value *multi = blocks.find("multi"))
-            record["multi"] = *multi;
+        for (const auto &[block, values] : result.members())
+            record[block] = values;
     } else {
         auto &error = record["error"];
         error["kind"] = status.errorKind;
@@ -649,13 +559,13 @@ BenchSweep::run(const SweepGrid &grid)
     const std::size_t base = globalIndex_;
     globalIndex_ += jobs.size();
 
-    std::vector<json::Value> records(jobs.size());
+    std::vector<RunResult> records(jobs.size());
     std::vector<sim::PointStatus> statuses;
     // Wall-clock per point (the final attempt when retried). Kept out
     // of the modeled statistics: it annotates the report only, and
     // `--no-timing` drops it for byte-stable golden comparisons.
     std::vector<double> wallSeconds(jobs.size(), 0.0);
-    auto results = runner_.runChecked<RunResult>(
+    runner_.runChecked<RunResult>(
         jobs.size(),
         [&jobs, &wallSeconds](std::size_t i) {
             auto start = std::chrono::steady_clock::now();
@@ -682,7 +592,7 @@ BenchSweep::run(const SweepGrid &grid)
                 timing["wall_seconds"] = wallSeconds[i];
                 timing["refs_per_sec"] =
                     wallSeconds[i] > 0
-                        ? static_cast<double>(result.metrics.refs)
+                        ? valueAt(result, "metrics.refs")
                               / wallSeconds[i]
                         : 0.0;
             }
@@ -692,9 +602,10 @@ BenchSweep::run(const SweepGrid &grid)
     for (std::size_t i = 0; i < jobs.size(); i++) {
         if (!statuses[i].ran) {
             // Restored from the checkpoint: the stored record is
-            // reused verbatim, so a resumed report is bit-identical
-            // to an uninterrupted one — but first prove the journal
-            // belongs to *this* sweep.
+            // reused verbatim, as the report's entry and as the
+            // point's result, so a resumed run is bit-identical to an
+            // uninterrupted one — but first prove the journal belongs
+            // to *this* sweep.
             const json::Value &stored = resumed_.at(base + i);
             const json::Value *label = stored.find("label");
             fatal_if(!label || label->str() != jobs[i].label,
@@ -710,7 +621,6 @@ BenchSweep::run(const SweepGrid &grid)
                      "('%s')",
                      base + i, jobs[i].label.c_str());
             records[i] = stored;
-            results[i] = resultFromJson(stored);
         }
 
         const json::Value *state = records[i].find("status");
@@ -738,7 +648,7 @@ BenchSweep::run(const SweepGrid &grid)
         }
         doc_["results"].push(records[i]);
     }
-    return results;
+    return records;
 }
 
 int

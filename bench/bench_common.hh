@@ -21,8 +21,6 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "os/scan.hh"
-#include "perf/energy_model.hh"
 #include "sim/cli.hh"
 #include "sim/machine.hh"
 #include "sim/multi_machine.hh"
@@ -48,45 +46,24 @@ scaledCaches()
     return params;
 }
 
-/** Everything a figure needs from one run, of any machine kind. */
-struct RunResult
-{
-    perf::RunMetrics metrics{};
-    perf::EnergyInputs energy{};
-    double l1MissRate = 0;
-    double walksPerKref = 0;
-    double accessesPerWalk = 0;
-    /**
-     * THS superpage requests that fell back to 4KB pages, summed over
-     * the whole run including warmup (warmup is where allocation
-     * happens, and the stat reset at startMeasurement() would
-     * otherwise discard it). The fault soak asserts this goes nonzero
-     * under injected buddy failure.
-     */
-    double thpFallbacks = 0;
-    /**
-     * Memory-pressure lifecycle activity, summed over the whole run
-     * including warmup (like thpFallbacks): superpage demotions, frames
-     * freed by reclaim, demoted regions re-promoted, and the OOM-path
-     * observability counters. The pressure soak asserts these go
-     * nonzero under injected demote storms and pressure bursts.
-     */
-    double demotions = 0;
-    double reclaims = 0;
-    double repromotions = 0;
-    double oomRetries = 0;
-    double demoteRescues = 0;
-    double compactionRescues = 0;
-    os::PageSizeDistribution distribution{};
-    /**
-     * Per-process L1 TLB miss rates, context switches, and policy
-     * flushes — populated by multiprogrammed runs only (the vector
-     * stays empty elsewhere, and the JSON "multi" block is omitted).
-     */
-    std::vector<double> procL1MissRates;
-    double contextSwitches = 0;
-    double fullFlushes = 0;
-};
+/**
+ * Everything a figure needs from one run, of any machine kind: the
+ * per-point record's "metrics", "energy" and "distribution" blocks
+ * (and the "multi" block of a multiprogrammed run), built once from
+ * the machine by runNative()/runVirt()/runGpu()/runMulti().
+ * BenchSweep::run() hands back each point's whole record, the one the
+ * report stores and `--resume` restores verbatim. Read values with
+ * valueAt().
+ */
+using RunResult = json::Value;
+
+/**
+ * The number at @p path ("block.key", e.g. "metrics.l1_miss_rate") of
+ * @p result. Panics when the record has no such number, so a renamed
+ * key fails loudly instead of reading 0. A quarantined point carries
+ * no value blocks: every path reads 0, as its table cells always have.
+ */
+double valueAt(const RunResult &result, const std::string &path);
 
 struct NativeRunConfig
 {
@@ -126,7 +103,10 @@ pressureFootprint(std::uint64_t mem_bytes, double memhog_fraction)
 inline double
 improvement(const RunResult &baseline, const RunResult &other)
 {
-    return perf::improvementPercent(baseline.metrics, other.metrics);
+    perf::RunMetrics base, faster;
+    base.totalCycles = valueAt(baseline, "metrics.total_cycles");
+    faster.totalCycles = valueAt(other, "metrics.total_cycles");
+    return perf::improvementPercent(base, faster);
 }
 
 struct VirtRunConfig
@@ -273,7 +253,10 @@ class BenchSweep
     BenchSweep(const BenchSweep &) = delete;
     BenchSweep &operator=(const BenchSweep &) = delete;
 
-    /** Run @p grid; results are indexed exactly like grid.jobs(). */
+    /**
+     * Run @p grid; results are indexed exactly like grid.jobs(). Each
+     * is the point's report record, restored ones included.
+     */
     std::vector<RunResult> run(const SweepGrid &grid);
 
     /**
@@ -311,17 +294,8 @@ class BenchSweep
                           const json::Value &record);
 };
 
-/** The "metrics" + "energy" + "distribution" JSON blocks for one run. */
-json::Value resultJson(const RunResult &result);
-
 /** The "config" JSON block for one job. */
 json::Value configJson(const SweepJob &job);
-
-/**
- * Rebuild a RunResult from a record produced by resultJson() (used on
- * `--resume` so figure tables can still print restored points).
- */
-RunResult resultFromJson(const json::Value &record);
 
 } // namespace mixtlb::bench
 

@@ -115,8 +115,12 @@ main(int argc, char **argv)
         table.addRow({designName(pair.design),
                       std::to_string(pair.procs),
                       std::to_string(pair.quantum), pair.mix,
-                      Table::fmt(100.0 * flush.l1MissRate, 2),
-                      Table::fmt(100.0 * asid.l1MissRate, 2),
+                      Table::fmt(100.0 * valueAt(flush,
+                                                 "metrics.l1_miss_rate"),
+                                 2),
+                      Table::fmt(100.0 * valueAt(asid,
+                                                 "metrics.l1_miss_rate"),
+                                 2),
                       Table::fmt(improvement(flush, asid), 2)});
     }
     table.print();

@@ -68,8 +68,10 @@ main(int argc, char **argv)
             config.design = TlbDesign::Ideal;
             auto ideal = runNative(config);
 
-            double split_pct = 100 * split.metrics.overheadFraction();
-            double ideal_pct = 100 * ideal.metrics.overheadFraction();
+            double split_pct =
+                100 * valueAt(split, "metrics.overhead_fraction");
+            double ideal_pct =
+                100 * valueAt(ideal, "metrics.overhead_fraction");
             table.addRow({workload, policy_case.name,
                           Table::fmt(split_pct), Table::fmt(ideal_pct),
                           Table::fmt(split_pct - ideal_pct)});

@@ -170,8 +170,10 @@ main(int argc, char **argv)
         gpu.addRow({kernels[k],
                     Table::fmt(improvement(results[pair.split],
                                            results[pair.mix])),
-                    Table::fmt(100 * results[pair.split].l1MissRate),
-                    Table::fmt(100 * results[pair.mix].l1MissRate)});
+                    Table::fmt(100 * valueAt(results[pair.split],
+                                             "metrics.l1_miss_rate")),
+                    Table::fmt(100 * valueAt(results[pair.mix],
+                                             "metrics.l1_miss_rate"))});
     }
     gpu.print();
 

@@ -139,9 +139,9 @@ main(int argc, char **argv)
     for (std::size_t w = 0; w < workloads.size(); w++) {
         const Pair &pair = ideal_pairs[w];
         double split_pct =
-            100 * results[pair.split].metrics.overheadFraction();
+            100 * valueAt(results[pair.split], "metrics.overhead_fraction");
         double mix_pct =
-            100 * results[pair.mix].metrics.overheadFraction();
+            100 * valueAt(results[pair.mix], "metrics.overhead_fraction");
         split_above_10 += split_pct > 10 ? 1 : 0;
         mix_above_10 += mix_pct > 10 ? 1 : 0;
         right.addRow({workloads[w], Table::fmt(split_pct),

@@ -25,7 +25,6 @@ main(int argc, char **argv)
     std::printf("=== Figure 16: performance vs energy, relative to "
                 "split TLBs ===\n\n");
 
-    perf::EnergyModel energy_model;
     const std::vector<std::string> workloads = {"btree", "graph500",
                                                 "memcached", "mcf"};
 
@@ -39,14 +38,14 @@ main(int argc, char **argv)
 
         config.design = TlbDesign::Split;
         auto split = runNative(config);
-        double split_energy = energy_model.compute(split.energy).total();
+        double split_energy = valueAt(split, "energy.total_pj");
 
         for (TlbDesign design :
              {TlbDesign::SkewPred, TlbDesign::HashRehashPred,
               TlbDesign::Mix}) {
             config.design = design;
             auto run = runNative(config);
-            double energy = energy_model.compute(run.energy).total();
+            double energy = valueAt(run, "energy.total_pj");
             table.addRow({workload, designName(design),
                           Table::fmt(improvement(split, run)),
                           Table::fmt(100 * (1 - energy / split_energy))});

@@ -25,7 +25,6 @@ main(int argc, char **argv)
     std::printf("=== Figure 17: dynamic translation energy breakdown "
                 "(GPU), normalised to split total ===\n\n");
 
-    perf::EnergyModel model;
     Table table({"kernel", "design", "lookup", "walk", "fill", "other",
                  "total"});
     for (const auto &kernel :
@@ -36,21 +35,22 @@ main(int argc, char **argv)
 
         config.design = TlbDesign::Split;
         auto split = runGpu(config);
-        auto split_energy = model.compute(split.energy);
-        double norm = split_energy.total() - split_energy.leakage;
+        double norm = valueAt(split, "energy.total_pj")
+                      - valueAt(split, "energy.leakage_pj");
 
         for (TlbDesign design : {TlbDesign::Split, TlbDesign::Mix}) {
             config.design = design;
             auto run = design == TlbDesign::Split ? split
                                                   : runGpu(config);
-            auto breakdown = model.compute(run.energy);
+            auto share = [&run, norm](const char *path) {
+                return Table::fmt(valueAt(run, path) / norm);
+            };
             table.addRow(
-                {kernel, designName(design),
-                 Table::fmt(breakdown.lookup / norm),
-                 Table::fmt(breakdown.walk / norm),
-                 Table::fmt(breakdown.fill / norm),
-                 Table::fmt(breakdown.other / norm),
-                 Table::fmt((breakdown.total() - breakdown.leakage)
+                {kernel, designName(design), share("energy.lookup_pj"),
+                 share("energy.walk_pj"), share("energy.fill_pj"),
+                 share("energy.other_pj"),
+                 Table::fmt((valueAt(run, "energy.total_pj")
+                             - valueAt(run, "energy.leakage_pj"))
                             / norm)});
         }
     }

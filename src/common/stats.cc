@@ -8,42 +8,6 @@
 namespace mixtlb::stats
 {
 
-void
-Distribution::init(double step, unsigned nbuckets)
-{
-    panic_if(step <= 0.0 || nbuckets == 0, "bad Distribution geometry");
-    step_ = step;
-    buckets_.assign(nbuckets + 1, 0); // final bucket is overflow
-}
-
-void
-Distribution::sample(double v, std::uint64_t count)
-{
-    if (buckets_.empty())
-        init(1.0, 32);
-    if (samples_ == 0) {
-        min_ = v;
-        max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    samples_ += count;
-    sum_ += v * count;
-    auto idx = static_cast<std::size_t>(v / step_);
-    if (idx >= buckets_.size())
-        idx = buckets_.size() - 1;
-    buckets_[idx] += count;
-}
-
-void
-Distribution::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    samples_ = 0;
-    sum_ = min_ = max_ = 0.0;
-}
-
 StatGroup::StatGroup(std::string name, StatGroup *parent)
     : name_(std::move(name)), parent_(parent)
 {
@@ -78,17 +42,6 @@ StatGroup::addCounter(const std::string &name, const std::string &desc)
     auto [it, inserted] = counters_.try_emplace(name);
     panic_if(!inserted, "duplicate counter stat %s", name.c_str());
     it->second.desc = desc;
-    return it->second.stat;
-}
-
-Distribution &
-StatGroup::addDistribution(const std::string &name, const std::string &desc,
-                           double step, unsigned nbuckets)
-{
-    auto [it, inserted] = dists_.try_emplace(name);
-    panic_if(!inserted, "duplicate distribution stat %s", name.c_str());
-    it->second.desc = desc;
-    it->second.stat.init(step, nbuckets);
     return it->second.stat;
 }
 
@@ -189,13 +142,6 @@ StatGroup::dump(std::ostream &os) const
            << std::setw(16) << entry.formula()
            << "# " << entry.desc << "\n";
     }
-    for (const auto &[name, entry] : dists_) {
-        const auto &d = entry.stat;
-        os << std::left << std::setw(48) << (prefix + "." + name)
-           << "samples=" << d.samples() << " mean=" << d.mean()
-           << " min=" << d.min() << " max=" << d.max()
-           << " # " << entry.desc << "\n";
-    }
     for (const auto *child : children_)
         child->dump(os);
 }
@@ -206,8 +152,6 @@ StatGroup::resetStats()
     for (auto &[name, entry] : scalars_)
         entry.stat.reset();
     for (auto &[name, entry] : counters_)
-        entry.stat.reset();
-    for (auto &[name, entry] : dists_)
         entry.stat.reset();
     for (auto *child : children_)
         child->resetStats();

@@ -2,8 +2,8 @@
  * @file
  * A small gem5-flavoured statistics package.
  *
- * Components own a StatGroup; they register named Scalar counters,
- * Distributions, and Formulas (derived values computed at dump time).
+ * Components own a StatGroup; they register named Scalars, Counters,
+ * and Formulas (derived values computed at dump time).
  * Groups nest, so a TLB hierarchy dumps all its children with dotted
  * names (e.g. "l1.mix.hits").
  */
@@ -56,32 +56,6 @@ class Counter
     std::uint64_t value_ = 0;
 };
 
-/** A simple sampled distribution (min/max/mean plus fixed buckets). */
-class Distribution
-{
-  public:
-    /** Buckets are [0,step), [step,2*step), ..., plus an overflow. */
-    void init(double step, unsigned nbuckets);
-
-    void sample(double v, std::uint64_t count = 1);
-
-    std::uint64_t samples() const { return samples_; }
-    double mean() const { return samples_ ? sum_ / samples_ : 0.0; }
-    double min() const { return samples_ ? min_ : 0.0; }
-    double max() const { return samples_ ? max_ : 0.0; }
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-    double bucketStep() const { return step_; }
-    void reset();
-
-  private:
-    double step_ = 1.0;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t samples_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
 /** A derived statistic evaluated lazily at dump time. */
 using Formula = std::function<double()>;
 
@@ -103,11 +77,6 @@ class StatGroup
 
     /** Register an integer counter under @p name. */
     Counter &addCounter(const std::string &name, const std::string &desc);
-
-    /** Register a distribution under @p name. */
-    Distribution &addDistribution(const std::string &name,
-                                  const std::string &desc,
-                                  double step, unsigned nbuckets);
 
     /** Register a derived statistic. */
     void addFormula(const std::string &name, const std::string &desc,
@@ -140,7 +109,6 @@ class StatGroup
   private:
     struct ScalarEntry { Scalar stat; std::string desc; };
     struct CounterEntry { Counter stat; std::string desc; };
-    struct DistEntry { Distribution stat; std::string desc; };
     struct FormulaEntry { Formula formula; std::string desc; };
 
     std::string name_;
@@ -149,7 +117,6 @@ class StatGroup
     // std::map keeps dump output deterministically sorted.
     std::map<std::string, ScalarEntry> scalars_;
     std::map<std::string, CounterEntry> counters_;
-    std::map<std::string, DistEntry> dists_;
     std::map<std::string, FormulaEntry> formulas_;
 };
 

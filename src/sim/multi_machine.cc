@@ -18,35 +18,55 @@ switchPolicyName(SwitchPolicy policy)
     return "unknown";
 }
 
+namespace
+{
+
+/** One counter attributed to the running process, slice by slice. */
+struct Attribution
+{
+    const char *name; ///< the per-process stat, "p<i>.<name>"
+    const char *desc;
+    const char *source; ///< the shared counter, under the machine root
+};
+
+/**
+ * Every per-process attribution counter and the shared hierarchy
+ * counter whose growth over a slice it receives.
+ */
+constexpr Attribution Attributed[] = {
+    {"accesses", "translated references attributed to this process",
+     "tlb.accesses"},
+    {"l1_hits", "L1 TLB hits", "tlb.l1_hits"},
+    {"l2_hits", "L2 TLB hits", "tlb.l2_hits"},
+    {"walks", "page table walks", "tlb.walks"},
+    {"walk_cycles", "cycles spent in walks", "tlb.walk_cycles"},
+    {"translation_cycles", "total address translation cycles",
+     "tlb.translation_cycles"},
+    {"walk_accesses", "memory references issued by walks",
+     "tlb.walk_accesses"},
+    {"walk_dram_accesses", "walk references that reached DRAM",
+     "tlb.walk_dram_accesses"},
+    {"dirty_ops", "dirty-bit update micro-ops", "tlb.dirty_micro_ops"},
+    {"l1_ways_read", "L1 TLB ways read during this process's slices",
+     "l1.ways_read"},
+    {"l2_ways_read", "L2 TLB ways read during this process's slices",
+     "l2.ways_read"},
+    {"l1_fills", "L1 TLB fills", "l1.fills"},
+    {"l2_fills", "L2 TLB fills", "l2.fills"},
+};
+
+} // anonymous namespace
+
 MultiMachine::ProcStats::ProcStats(unsigned index,
                                    stats::StatGroup *parent)
     : group("p" + std::to_string(index), parent),
-      accesses(group.addCounter("accesses",
-          "translated references attributed to this process")),
-      l1Hits(group.addCounter("l1_hits", "L1 TLB hits")),
-      l2Hits(group.addCounter("l2_hits", "L2 TLB hits")),
-      walks(group.addCounter("walks", "page table walks")),
-      walkCycles(group.addCounter("walk_cycles",
-                                  "cycles spent in walks")),
-      translationCycles(group.addCounter("translation_cycles",
-          "total address translation cycles")),
-      walkAccesses(group.addCounter("walk_accesses",
-          "memory references issued by walks")),
-      walkDramAccesses(group.addCounter("walk_dram_accesses",
-          "walk references that reached DRAM")),
-      dirtyOps(group.addCounter("dirty_ops",
-          "dirty-bit update micro-ops")),
-      l1WaysRead(group.addCounter("l1_ways_read",
-          "L1 TLB ways read during this process's slices")),
-      l2WaysRead(group.addCounter("l2_ways_read",
-          "L2 TLB ways read during this process's slices")),
-      l1Fills(group.addCounter("l1_fills", "L1 TLB fills")),
-      l2Fills(group.addCounter("l2_fills", "L2 TLB fills")),
       slices(group.addCounter("slices", "scheduling slices executed"))
 {
+    for (const Attribution &entry : Attributed)
+        attributed.push_back(&group.addCounter(entry.name, entry.desc));
     group.addFormula("l1_miss_rate", "L1 TLB miss fraction", [this] {
-        double total = accesses.value();
-        return total > 0 ? 1.0 - l1Hits.value() / total : 0.0;
+        double total = group.value("accesses");
+        return total > 0 ? 1.0 - group.value("l1_hits") / total : 0.0;
     });
 }
 
@@ -88,6 +108,8 @@ MultiMachine::MultiMachine(const MultiMachineParams &params)
         "tlb", &root_,
         makeCpuL1(params.design, &root_, table, params.scale),
         makeCpuL2(params.design, &root_, table, params.scale), *source_);
+    for (const Attribution &entry : Attributed)
+        attributedSources_.push_back(&root_.counter(entry.source));
 
     // The Ideal design bypasses fills and translates straight from a
     // page table, so it needs every address space registered by ASID.
@@ -113,49 +135,13 @@ MultiMachine::MultiMachine(const MultiMachineParams &params)
 
 MultiMachine::~MultiMachine() = default;
 
-MultiMachine::Snapshot
-MultiMachine::takeSnapshot() const
-{
-    // The accessors widen the hierarchy's Counters to double; every
-    // count stays far below 2^53, so narrowing back is exact.
-    const auto n = [](double v) { return static_cast<std::uint64_t>(v); };
-    Snapshot s;
-    s.accesses = n(hier_->accessCount());
-    s.l1Hits = n(hier_->l1HitCount());
-    s.l2Hits = n(hier_->l2HitCount());
-    s.walks = n(hier_->walkCount());
-    s.walkCycles = n(hier_->walkCycleCount());
-    s.translationCycles = n(hier_->translationCycleCount());
-    s.walkAccesses = n(hier_->walkAccessCount());
-    s.walkDramAccesses = n(hier_->walkDramAccessCount());
-    s.dirtyOps = n(hier_->dirtyMicroOpCount());
-    s.l1WaysRead = n(hier_->l1().waysReadCount());
-    s.l2WaysRead = n(hier_->l2().waysReadCount());
-    s.l1Fills = n(hier_->l1().fillCount());
-    s.l2Fills = n(hier_->l2().fillCount());
-    return s;
-}
-
 void
-MultiMachine::accumulate(unsigned proc, const Snapshot &before)
+MultiMachine::accumulate(unsigned proc,
+                         const std::vector<std::uint64_t> &before)
 {
-    const Snapshot now = takeSnapshot();
     ProcStats &ps = *procStats_[proc];
-    ps.accesses += now.accesses - before.accesses;
-    ps.l1Hits += now.l1Hits - before.l1Hits;
-    ps.l2Hits += now.l2Hits - before.l2Hits;
-    ps.walks += now.walks - before.walks;
-    ps.walkCycles += now.walkCycles - before.walkCycles;
-    ps.translationCycles +=
-        now.translationCycles - before.translationCycles;
-    ps.walkAccesses += now.walkAccesses - before.walkAccesses;
-    ps.walkDramAccesses +=
-        now.walkDramAccesses - before.walkDramAccesses;
-    ps.dirtyOps += now.dirtyOps - before.dirtyOps;
-    ps.l1WaysRead += now.l1WaysRead - before.l1WaysRead;
-    ps.l2WaysRead += now.l2WaysRead - before.l2WaysRead;
-    ps.l1Fills += now.l1Fills - before.l1Fills;
-    ps.l2Fills += now.l2Fills - before.l2Fills;
+    for (std::size_t k = 0; k < before.size(); k++)
+        *ps.attributed[k] += attributedSources_[k]->value() - before[k];
     ++ps.slices;
 }
 
@@ -188,7 +174,8 @@ class MultiMachine::RoundRobin final : public Schedule
   public:
     RoundRobin(MultiMachine &machine, std::uint64_t refs_per_proc)
         : machine_(machine),
-          remaining_(machine.numProcs(), refs_per_proc)
+          remaining_(machine.numProcs(), refs_per_proc),
+          before_(machine.attributedSources_.size())
     {
         hookAtTurnEnd = true;
     }
@@ -202,7 +189,8 @@ class MultiMachine::RoundRobin final : public Schedule
             if (!remaining_[proc])
                 continue;
             machine_.switchTo(proc);
-            before_ = machine_.takeSnapshot();
+            for (std::size_t k = 0; k < before_.size(); k++)
+                before_[k] = machine_.attributedSources_[k]->value();
             turn = {proc, machine_.gens_[proc].get(),
                     std::min(machine_.params_.quantum, remaining_[proc])};
             return true;
@@ -222,7 +210,8 @@ class MultiMachine::RoundRobin final : public Schedule
     MultiMachine &machine_;
     std::vector<std::uint64_t> remaining_;
     unsigned next_ = 0;
-    Snapshot before_{};
+    /** The attributed hierarchy counters at the turn's start. */
+    std::vector<std::uint64_t> before_;
 };
 
 std::uint64_t
@@ -254,9 +243,8 @@ MultiMachine::procStat(unsigned proc, const std::string &name) const
 double
 MultiMachine::procL1MissRate(unsigned proc) const
 {
-    const ProcStats &ps = *procStats_.at(proc);
-    const double total = ps.accesses.value();
-    return total > 0 ? 1.0 - ps.l1Hits.value() / total : 0.0;
+    const double total = procStat(proc, "accesses");
+    return total > 0 ? 1.0 - procStat(proc, "l1_hits") / total : 0.0;
 }
 
 } // namespace mixtlb::sim

@@ -93,40 +93,25 @@ class MultiMachine : public MachineCore
     tlb::TlbHierarchy &tlbs() { return hierarchy(0); }
 
   private:
-    /** Snapshot of the shared hierarchy's counters for attribution. */
-    struct Snapshot
-    {
-        std::uint64_t accesses = 0, l1Hits = 0, l2Hits = 0, walks = 0;
-        std::uint64_t walkCycles = 0, translationCycles = 0;
-        std::uint64_t walkAccesses = 0, walkDramAccesses = 0, dirtyOps = 0;
-        std::uint64_t l1WaysRead = 0, l2WaysRead = 0;
-        std::uint64_t l1Fills = 0, l2Fills = 0;
-    };
-
-    /** Per-process attribution counters, group "p<index>". */
+    /**
+     * Per-process attribution counters, group "p<index>": one per
+     * entry of the attribution table in multi_machine.cc, in its
+     * order, plus the slice count.
+     */
     struct ProcStats
     {
         ProcStats(unsigned index, stats::StatGroup *parent);
 
         stats::StatGroup group;
-        stats::Counter &accesses;
-        stats::Counter &l1Hits;
-        stats::Counter &l2Hits;
-        stats::Counter &walks;
-        stats::Counter &walkCycles;
-        stats::Counter &translationCycles;
-        stats::Counter &walkAccesses;
-        stats::Counter &walkDramAccesses;
-        stats::Counter &dirtyOps;
-        stats::Counter &l1WaysRead;
-        stats::Counter &l2WaysRead;
-        stats::Counter &l1Fills;
-        stats::Counter &l2Fills;
+        std::vector<stats::Counter *> attributed;
         stats::Counter &slices;
     };
 
-    Snapshot takeSnapshot() const;
-    void accumulate(unsigned proc, const Snapshot &before);
+    /**
+     * Add the shared hierarchy's counter growth since @p before (one
+     * value per table entry) to process @p proc.
+     */
+    void accumulate(unsigned proc, const std::vector<std::uint64_t> &before);
 
     /**
      * Make @p proc the running process: bump the switch counters,
@@ -141,6 +126,8 @@ class MultiMachine : public MachineCore
     tlb::MultiWalkSource *source_ = nullptr;
     tlb::TlbHierarchy *hier_ = nullptr;
     std::vector<std::unique_ptr<ProcStats>> procStats_;
+    /** The hierarchy counter behind each attribution table entry. */
+    std::vector<const stats::Counter *> attributedSources_;
 
     stats::StatGroup sched_;
     stats::Counter &switches_;

@@ -19,7 +19,6 @@ struct InlineVec
 
 struct Stats
 {
-    double scalar(const char *name) const;
     void addScalar(const char *name, double value);
 };
 
@@ -55,11 +54,6 @@ struct Ledger
         std::sort(keys.begin(), keys.end());
         for (int key : keys)
             stats.addScalar("cells", cells_.at(key));
-    }
-
-    double readBack(const Stats &stats) const
-    {
-        return stats.scalar("cells");
     }
 };
 

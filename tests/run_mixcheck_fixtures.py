@@ -33,17 +33,13 @@ TREE_EXPECTED = {
     ("src/legbad/leg.cc", 1, "raw-assert"),     # #include <cassert>
     ("src/legbad/leg.cc", 7, "raw-assert"),     # assert(
     ("src/legbad/leg.cc", 8, "banned-random"),  # rand()
-    ("src/os/lifecycle.cc", 28, "stat-drift"),  # renamed demotion stat
     ("src/shiftbad/shift.cc", 11, "shift-width"),  # 1 << 22 int literal
     ("src/shiftbad/shift.cc", 17, "shift-width"),  # unproven amount
     ("src/simdbad/vec.cc", 1, "simd"),    # #include <immintrin.h>
     ("src/simdbad/vec.cc", 9, "simd"),    # raw _mm_loadu_si128
     ("src/simdbad/vec.cc", 10, "simd"),   # raw _mm_movemask_epi8
     ("src/simdbad/vec.cc", 16, "simd"),   # raw NEON vld1q_u64
-    ("src/stats/reg.cc", 25, "stat-drift"),     # .scalar("renamed_metric")
     ("src/tlb/layer.hh", 4, "layering"),        # tlb/ includes workload/
-    ("tools/check_perf.py", 9, "stat-drift"),   # ghost metrics key
-    ("tools/check_soak.py", 9, "stat-drift"),   # ghost lifecycle key
 }
 
 SUPPRESS_EXPECTED = {
@@ -56,7 +52,7 @@ SUPPRESS_SUPPRESSED = {
 }
 
 ALL_RULES = {"shift-width", "determinism", "hot-path-alloc",
-             "hot-path-scan", "layering", "stat-drift", "raw-assert",
+             "hot-path-scan", "layering", "raw-assert",
              "include-guard", "banned-random", "suppression", "simd"}
 
 failures = []

@@ -180,22 +180,6 @@ TEST(Stats, FormulaEvaluatesLazily)
     EXPECT_NE(os.str().find("0.75"), std::string::npos);
 }
 
-TEST(Stats, DistributionBuckets)
-{
-    stats::StatGroup root("root");
-    auto &d = root.addDistribution("lat", "latency", 10.0, 4);
-    d.sample(5);
-    d.sample(15);
-    d.sample(15);
-    d.sample(1000); // overflow bucket
-    EXPECT_EQ(d.samples(), 4u);
-    EXPECT_DOUBLE_EQ(d.min(), 5.0);
-    EXPECT_DOUBLE_EQ(d.max(), 1000.0);
-    EXPECT_EQ(d.buckets()[0], 1u);
-    EXPECT_EQ(d.buckets()[1], 2u);
-    EXPECT_EQ(d.buckets().back(), 1u);
-}
-
 TEST(Stats, NestedGroupPaths)
 {
     stats::StatGroup root("system");

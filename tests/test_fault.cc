@@ -279,8 +279,8 @@ TEST(FaultInjection, PartialBuddyFailureDegradesToSmallPages)
         try {
             RunResult result = runNative(config);
             if (scope.fired(fault::Site::BuddyAlloc) > 0
-                && result.thpFallbacks > 0.0) {
-                EXPECT_GT(result.distribution.bytes4k, 0u);
+                && valueAt(result, "metrics.thp_fallbacks") > 0.0) {
+                EXPECT_GT(valueAt(result, "distribution.bytes_4k"), 0.0);
                 degraded_gracefully = true;
                 break;
             }
@@ -304,8 +304,8 @@ TEST(FaultInjection, WalkLatencySpikesSlowTheRun)
     fault::FaultScope scope(faults, 27, 0);
     RunResult spiked = runNative(config);
     EXPECT_GT(scope.fired(fault::Site::WalkLatency), 0u);
-    EXPECT_GT(spiked.metrics.translationCycles,
-              clean.metrics.translationCycles);
+    EXPECT_GT(valueAt(spiked, "metrics.translation_cycles"),
+              valueAt(clean, "metrics.translation_cycles"));
 }
 
 TEST(FaultInjection, PressureBurstsDegradeButComplete)
@@ -319,7 +319,8 @@ TEST(FaultInjection, PressureBurstsDegradeButComplete)
     fault::FaultScope scope(faults, 29, 0);
     RunResult result = runNative(config);
     EXPECT_GT(scope.fired(fault::Site::PressureBurst), 0u);
-    EXPECT_EQ(result.metrics.refs, config.refs);
+    EXPECT_EQ(valueAt(result, "metrics.refs"),
+              static_cast<double>(config.refs));
 }
 
 // ---------------------------------------------------------------------
@@ -491,11 +492,12 @@ TEST(BenchSweepFault, ResumeReproducesTheUninterruptedJson)
     const std::string json_c = base + "_c.json";
 
     // Reference: one uninterrupted serial run.
+    std::vector<RunResult> uninterrupted;
     {
         auto args = makeArgs({"--jobs", "1", "--no-timing",
                               "--json", json_a});
         BenchSweep sweep(args, "resume");
-        sweep.run(cheapGrid());
+        uninterrupted = sweep.run(cheapGrid());
         EXPECT_EQ(sweep.finish(), 0);
     }
 
@@ -518,16 +520,21 @@ TEST(BenchSweepFault, ResumeReproducesTheUninterruptedJson)
                  + lines.substr(first_newline + 1, 20));
 
     // Resume: point 0 restored from the journal, the rest re-run; the
-    // final report must be byte-identical to the uninterrupted one.
+    // final report must be byte-identical to the uninterrupted one,
+    // and so must the results the figure tables print from.
+    std::vector<RunResult> resumed;
     {
         auto args = makeArgs({"--jobs", "1", "--no-timing",
                               "--json", json_c, "--resume",
                               journal});
         BenchSweep sweep(args, "resume");
-        sweep.run(cheapGrid());
+        resumed = sweep.run(cheapGrid());
         EXPECT_EQ(sweep.finish(), 0);
     }
     EXPECT_EQ(readAll(json_a), readAll(json_c));
+    ASSERT_EQ(resumed.size(), uninterrupted.size());
+    for (std::size_t i = 0; i < resumed.size(); i++)
+        EXPECT_EQ(resumed[i].dump(2), uninterrupted[i].dump(2)) << i;
 
     for (const auto &path :
          {json_a, json_b, json_c, json_a + ".ckpt", journal}) {

@@ -153,7 +153,7 @@ TEST_P(MachineKindInjection, LifecycleSitesFireUnderTheOracle)
                            << status.errorMessage;
     EXPECT_GT(status.faults[static_cast<std::size_t>(site)], 0u);
     if (site == fault::Site::DemoteStorm) {
-        EXPECT_GT(result.demotions, 0.0);
+        EXPECT_GT(valueAt(result, "metrics.demotions"), 0.0);
     }
 }
 

@@ -143,21 +143,44 @@ TEST(MultiMachine, AsidTaggedNeverFlushes)
 
 TEST(MultiMachine, PerProcessStatsSumToHierarchyTotals)
 {
-    MultiMachine machine(smallMachineParams(SwitchPolicy::AsidTagged));
-    wireWorkloads(machine, 8 * MiB, 3);
-    const std::uint64_t done = machine.run(4000);
-    EXPECT_EQ(done, 2u * 4000u);
+    for (unsigned d = 0; d <= static_cast<unsigned>(TlbDesign::Ideal);
+         d++) {
+        const auto design = static_cast<TlbDesign>(d);
+        SCOPED_TRACE(designName(design));
+        MultiMachineParams params =
+            smallMachineParams(SwitchPolicy::AsidTagged);
+        params.design = design;
+        MultiMachine machine(params);
+        wireWorkloads(machine, 8 * MiB, 3);
+        const std::uint64_t done = machine.run(4000);
+        EXPECT_EQ(done, 2u * 4000u);
 
-    double accesses = 0, l1_hits = 0, walks = 0;
-    for (unsigned i = 0; i < machine.numProcs(); i++) {
-        accesses += machine.procStat(i, "accesses");
-        l1_hits += machine.procStat(i, "l1_hits");
-        walks += machine.procStat(i, "walks");
-        EXPECT_GT(machine.procStat(i, "accesses"), 0.0);
+        const tlb::TlbHierarchy &tlbs = machine.tlbs();
+        const std::pair<const char *, double> totals[] = {
+            {"accesses", tlbs.accessCount()},
+            {"l1_hits", tlbs.l1HitCount()},
+            {"l2_hits", tlbs.l2HitCount()},
+            {"walks", tlbs.walkCount()},
+            {"walk_cycles", tlbs.walkCycleCount()},
+            {"translation_cycles", tlbs.translationCycleCount()},
+            {"walk_accesses", tlbs.walkAccessCount()},
+            {"walk_dram_accesses", tlbs.walkDramAccessCount()},
+            {"dirty_ops", tlbs.dirtyMicroOpCount()},
+            {"l1_ways_read", tlbs.l1().waysReadCount()},
+            {"l2_ways_read", tlbs.l2().waysReadCount()},
+            {"l1_fills", tlbs.l1().fillCount()},
+            {"l2_fills", tlbs.l2().fillCount()},
+        };
+        for (const auto &[name, total] : totals) {
+            SCOPED_TRACE(name);
+            double sum = 0;
+            for (unsigned i = 0; i < machine.numProcs(); i++)
+                sum += machine.procStat(i, name);
+            EXPECT_DOUBLE_EQ(sum, total);
+        }
+        for (unsigned i = 0; i < machine.numProcs(); i++)
+            EXPECT_GT(machine.procStat(i, "accesses"), 0.0);
     }
-    EXPECT_DOUBLE_EQ(accesses, machine.tlbs().accessCount());
-    EXPECT_DOUBLE_EQ(l1_hits, machine.tlbs().l1HitCount());
-    EXPECT_DOUBLE_EQ(walks, machine.tlbs().walkCount());
 }
 
 TEST(MultiMachine, OracleCleanWithOverlappingAddressSpaces)
@@ -188,17 +211,20 @@ TEST(MultiProg, AsidTaggingBeatsFullFlushAcrossHeadlineDesigns)
         RunResult asid = runMulti(
             smallMultiConfig(design, SwitchPolicy::AsidTagged));
         // Same seed, same streams: the only difference is the flush.
-        EXPECT_LE(asid.l1MissRate, flush.l1MissRate);
-        ASSERT_EQ(asid.procL1MissRates.size(), 2u);
-        EXPECT_GT(flush.fullFlushes, 0.0);
-        EXPECT_EQ(asid.fullFlushes, 0.0);
+        EXPECT_LE(valueAt(asid, "metrics.l1_miss_rate"),
+                  valueAt(flush, "metrics.l1_miss_rate"));
+        EXPECT_EQ(asid.find("multi")->find("proc_l1_miss_rates")->size(),
+                  2u);
+        EXPECT_GT(valueAt(flush, "multi.full_flushes"), 0.0);
+        EXPECT_EQ(valueAt(asid, "multi.full_flushes"), 0.0);
     }
     // At least the split baseline must show a strict win.
     RunResult flush = runMulti(
         smallMultiConfig(TlbDesign::Split, SwitchPolicy::FullFlush));
     RunResult asid = runMulti(
         smallMultiConfig(TlbDesign::Split, SwitchPolicy::AsidTagged));
-    EXPECT_LT(asid.l1MissRate, flush.l1MissRate);
+    EXPECT_LT(valueAt(asid, "metrics.l1_miss_rate"),
+              valueAt(flush, "metrics.l1_miss_rate"));
 }
 
 TEST(MultiProg, GoldenReportBytesIdenticalAcrossJobCounts)
@@ -214,12 +240,11 @@ TEST(MultiProg, GoldenReportBytesIdenticalAcrossJobCounts)
               parallel.find("failures")->dump(2));
     EXPECT_EQ(serial_results->size(), multiGrid().size());
 
-    // The multi block must round-trip through a record.
+    // Every record carries the multi block.
     const json::Value &record =
         serial_results->members().at(0).second;
     const json::Value *multi = record.find("multi");
     ASSERT_NE(multi, nullptr);
-    RunResult restored = resultFromJson(record);
-    EXPECT_EQ(restored.procL1MissRates.size(), 2u);
-    EXPECT_GT(restored.contextSwitches, 0.0);
+    EXPECT_EQ(multi->find("proc_l1_miss_rates")->size(), 2u);
+    EXPECT_GT(valueAt(record, "multi.context_switches"), 0.0);
 }

@@ -50,28 +50,14 @@ smallGrid()
     return grid;
 }
 
+/** Every key and value of two results, compared as whole records. */
 void
 expectIdentical(const RunResult &a, const RunResult &b,
                 const std::string &label)
 {
     SCOPED_TRACE(label);
-    EXPECT_EQ(a.metrics.refs, b.metrics.refs);
-    EXPECT_DOUBLE_EQ(a.metrics.translationCycles,
-                     b.metrics.translationCycles);
-    EXPECT_DOUBLE_EQ(a.metrics.baseCycles, b.metrics.baseCycles);
-    EXPECT_DOUBLE_EQ(a.metrics.totalCycles, b.metrics.totalCycles);
-    EXPECT_DOUBLE_EQ(a.l1MissRate, b.l1MissRate);
-    EXPECT_DOUBLE_EQ(a.walksPerKref, b.walksPerKref);
-    EXPECT_DOUBLE_EQ(a.accessesPerWalk, b.accessesPerWalk);
-    EXPECT_DOUBLE_EQ(a.energy.l1WaysRead, b.energy.l1WaysRead);
-    EXPECT_DOUBLE_EQ(a.energy.l1Fills, b.energy.l1Fills);
-    EXPECT_DOUBLE_EQ(a.energy.l2Fills, b.energy.l2Fills);
-    EXPECT_DOUBLE_EQ(a.energy.walkAccesses, b.energy.walkAccesses);
-    EXPECT_DOUBLE_EQ(a.energy.fillBurstFactor,
-                     b.energy.fillBurstFactor);
-    EXPECT_EQ(a.distribution.bytes4k, b.distribution.bytes4k);
-    EXPECT_EQ(a.distribution.bytes2m, b.distribution.bytes2m);
-    EXPECT_EQ(a.distribution.bytes1g, b.distribution.bytes1g);
+    ASSERT_TRUE(a.isObject());
+    EXPECT_EQ(a.dump(2), b.dump(2));
 }
 
 } // anonymous namespace
@@ -223,4 +209,19 @@ TEST(SweepRunner, TimingBlockPresentByDefaultAndSuppressible)
             sweep.doc().find("results")->members().at(0).second;
         EXPECT_EQ(record.find("timing"), nullptr);
     }
+}
+
+TEST(RunResultDeathTest, ValueAtReadsKeysAndPanicsOnAMissingOne)
+{
+    auto result = json::Value::object();
+    result["metrics"]["l1_miss_rate"] = 0.25;
+    EXPECT_EQ(valueAt(result, "metrics.l1_miss_rate"), 0.25);
+    EXPECT_DEATH(valueAt(result, "metrics.l1_miss"), "no number at");
+    EXPECT_DEATH(valueAt(result, "energy.l1_miss_rate"), "no number at");
+    EXPECT_DEATH(valueAt(result, "metrics"), "no number at");
+
+    // A quarantined point has no value blocks and reads 0.
+    auto failed = json::Value::object();
+    failed["status"] = "failed";
+    EXPECT_EQ(valueAt(failed, "metrics.total_cycles"), 0.0);
 }

@@ -79,9 +79,7 @@ def main() -> None:
     if fires.get("buddy-alloc", 0) == 0:
         fail("buddy-alloc never fired despite being injected")
 
-    fallbacks = sum(
-        r.get("metrics", {}).get("thp_fallbacks", 0) for r in ok
-    )
+    fallbacks = sum(r["metrics"]["thp_fallbacks"] for r in ok)
     if fallbacks == 0:
         fail(
             "no superpage->4KB fallbacks recorded: injected allocation "
@@ -104,13 +102,9 @@ def main() -> None:
         quiet = sorted(kind for kind, n in storms_by_kind.items() if n == 0)
         if quiet:
             fail(f"demote-storm never fired on {', '.join(quiet)} points")
-        demotions = sum(
-            r.get("metrics", {}).get("demotions", 0) for r in ok
-        )
-        reclaims = sum(r.get("metrics", {}).get("reclaims", 0) for r in ok)
-        repromotions = sum(
-            r.get("metrics", {}).get("repromotions", 0) for r in ok
-        )
+        demotions = sum(r["metrics"]["demotions"] for r in ok)
+        reclaims = sum(r["metrics"]["reclaims"] for r in ok)
+        repromotions = sum(r["metrics"]["repromotions"] for r in ok)
         if demotions == 0:
             fail("storms fired but no superpage demotions were recorded")
         if reclaims == 0:

@@ -4,7 +4,7 @@
 The three historical lint rules (raw-assert, include-guard,
 banned-random) now live in tools/mixcheck/legacy.py alongside the
 repo-aware checkers (shift-width, determinism, hot-path-alloc,
-layering, stat-drift). This wrapper keeps `tools/lint.py [root]`
+hot-path-scan, layering, simd). This wrapper keeps `tools/lint.py [root]`
 working for muscle memory and old CI configs; new callers should run
 `python3 tools/mixcheck` directly.
 

@@ -18,15 +18,14 @@ import layering
 import legacy
 import shift
 import simdcheck
-import statdrift
 from source import (RepoTables, SourceFile, apply_suppressions,
                     suppression_findings)
 
-VERSION = "1.1.0"
+VERSION = "1.2.0"
 
 CXX_EXTENSIONS = {".hh", ".cc", ".cpp", ".h"}
 SCAN_DIRS = ("src", "bench", "examples", "tests", "tools")
-STRICT_DIR = "src"  # shift/determinism/hot-path/stat-drift scope
+STRICT_DIR = "src"  # shift/determinism/hot-path scope
 EXCLUDE_PART = "mixcheck_fixtures"
 
 
@@ -66,10 +65,6 @@ def run(root):
             companion = by_rel.get(source.rel[:-3] + ".hh")
         raw.extend(hotpath.check(source, tables, companion))
     raw.extend(layering.check(sources))
-    raw.extend(statdrift.check(src_sources
-                               + [s for s in sources
-                                  if s.rel.startswith("bench/")],
-                               root))
     for source in sources:
         raw.extend(legacy.check(source))
         raw.extend(simdcheck.check(source))
