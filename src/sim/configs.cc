@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "tlb/colt.hh"
-#include "tlb/hash_rehash.hh"
 #include "tlb/ideal.hh"
 #include "tlb/mix.hh"
 #include "tlb/set_assoc.hh"
@@ -49,29 +48,38 @@ walkerScanLines(TlbDesign design)
 namespace
 {
 
+/**
+ * The Haswell-style split L1: @p entries_4k 4-way 4KB entries, 32 ×
+ * @p scale 4-way 2MB entries and 4 × @p scale fully-associative 1GB
+ * entries. COLT variants coalesce in the 4KB (@p colt_4k) and 2MB
+ * (@p colt_super) components.
+ */
 std::unique_ptr<BaseTlb>
 makeSplitL1(const std::string &name, stats::StatGroup *parent,
-            unsigned scale, bool colt_4k, bool colt_super)
+            std::uint64_t entries_4k, unsigned scale, bool colt_4k,
+            bool colt_super)
 {
     auto split = std::make_unique<SplitTlb>(name, parent);
     auto *group = &split->statGroup();
     if (colt_4k) {
         split->addComponent(std::make_unique<ColtTlb>(
-            "t4k", group, 64 * scale, 4, PageSize::Size4K, 4));
+            "t4k", group, entries_4k, 4, PageSize::Size4K, 4));
     } else {
         split->addComponent(std::make_unique<SetAssocTlb>(
-            "t4k", group, 64 * scale, 4, PageSize::Size4K));
+            "t4k", group,
+            SetAssocParams{entries_4k, 4, {PageSize::Size4K}}));
     }
     if (colt_super) {
         split->addComponent(std::make_unique<ColtTlb>(
             "t2m", group, 32 * scale, 4, PageSize::Size2M, 4));
     } else {
         split->addComponent(std::make_unique<SetAssocTlb>(
-            "t2m", group, 32 * scale, 4, PageSize::Size2M));
+            "t2m", group,
+            SetAssocParams{32 * scale, 4, {PageSize::Size2M}}));
     }
-    split->addComponent(std::make_unique<FullyAssocTlb>(
-        "t1g", group, 4 * scale,
-        std::initializer_list<PageSize>{PageSize::Size1G}));
+    split->addComponent(std::make_unique<SetAssocTlb>(
+        "t1g", group,
+        SetAssocParams{4 * scale, 4 * scale, {PageSize::Size1G}}));
     return split;
 }
 
@@ -84,14 +92,13 @@ makeSplitL2(const std::string &name, stats::StatGroup *parent,
     if (!colt_4k && !colt_super) {
         // The actual Haswell organisation: a hash-rehash structure for
         // 4KB+2MB plus a separate 1GB TLB.
-        HashRehashParams hr;
-        hr.entries = 512ULL * scale;
-        hr.assoc = 8;
-        hr.sizes = {PageSize::Size4K, PageSize::Size2M};
-        split->addComponent(
-            std::make_unique<HashRehashTlb>("t4k2m", group, hr));
         split->addComponent(std::make_unique<SetAssocTlb>(
-            "t1g", group, 32 * scale, 4, PageSize::Size1G));
+            "t4k2m", group,
+            SetAssocParams{512ULL * scale, 8,
+                           {PageSize::Size4K, PageSize::Size2M}}));
+        split->addComponent(std::make_unique<SetAssocTlb>(
+            "t1g", group,
+            SetAssocParams{32 * scale, 4, {PageSize::Size1G}}));
         return split;
     }
     // COLT variants need per-size components so each structure can
@@ -103,7 +110,8 @@ makeSplitL2(const std::string &name, stats::StatGroup *parent,
             "t4k", group, 256 * scale, 8, PageSize::Size4K, 4));
     } else {
         split->addComponent(std::make_unique<SetAssocTlb>(
-            "t4k", group, 256 * scale, 8, PageSize::Size4K));
+            "t4k", group,
+            SetAssocParams{256 * scale, 8, {PageSize::Size4K}}));
     }
     if (colt_super) {
         split->addComponent(std::make_unique<ColtTlb>(
@@ -112,9 +120,11 @@ makeSplitL2(const std::string &name, stats::StatGroup *parent,
             "t1g", group, 32 * scale, 4, PageSize::Size1G, 4));
     } else {
         split->addComponent(std::make_unique<SetAssocTlb>(
-            "t2m", group, 256 * scale, 8, PageSize::Size2M));
+            "t2m", group,
+            SetAssocParams{256 * scale, 8, {PageSize::Size2M}}));
         split->addComponent(std::make_unique<SetAssocTlb>(
-            "t1g", group, 32 * scale, 4, PageSize::Size1G));
+            "t1g", group,
+            SetAssocParams{32 * scale, 4, {PageSize::Size1G}}));
     }
     return split;
 }
@@ -155,11 +165,11 @@ makeCpuL1(TlbDesign design, stats::StatGroup *parent,
     const unsigned s = scale.scale;
     switch (design) {
       case TlbDesign::Split:
-        return makeSplitL1("l1", parent, s, false, false);
+        return makeSplitL1("l1", parent, 64ULL * s, s, false, false);
       case TlbDesign::Colt:
-        return makeSplitL1("l1", parent, s, true, false);
+        return makeSplitL1("l1", parent, 64ULL * s, s, true, false);
       case TlbDesign::ColtPlusPlus:
-        return makeSplitL1("l1", parent, s, true, true);
+        return makeSplitL1("l1", parent, 64ULL * s, s, true, true);
       case TlbDesign::Mix:
         return std::make_unique<MixTlb>("l1", parent,
                                         mixL1Params(s, false, false));
@@ -171,11 +181,11 @@ makeCpuL1(TlbDesign design, stats::StatGroup *parent,
                                         mixL1Params(s, false, true));
       case TlbDesign::HashRehash:
       case TlbDesign::HashRehashPred: {
-        HashRehashParams params;
+        SetAssocParams params;
         params.entries = 96ULL * s;
         params.assoc = 6;
         params.usePredictor = design == TlbDesign::HashRehashPred;
-        return std::make_unique<HashRehashTlb>("l1", parent, params);
+        return std::make_unique<SetAssocTlb>("l1", parent, params);
       }
       case TlbDesign::Skew:
       case TlbDesign::SkewPred: {
@@ -215,11 +225,11 @@ makeCpuL2(TlbDesign design, stats::StatGroup *parent,
                                         mixL2Params(s, false, true));
       case TlbDesign::HashRehash:
       case TlbDesign::HashRehashPred: {
-        HashRehashParams params;
+        SetAssocParams params;
         params.entries = 544ULL * s;
         params.assoc = 8;
         params.usePredictor = design == TlbDesign::HashRehashPred;
-        return std::make_shared<HashRehashTlb>("l2", parent, params);
+        return std::make_shared<SetAssocTlb>("l2", parent, params);
       }
       case TlbDesign::Skew:
       case TlbDesign::SkewPred: {
@@ -243,30 +253,10 @@ makeGpuCoreL1(TlbDesign design, unsigned core, stats::StatGroup *parent,
     switch (design) {
       case TlbDesign::Split:
       case TlbDesign::Colt:
-      case TlbDesign::ColtPlusPlus: {
-        auto split = std::make_unique<SplitTlb>(name, parent);
-        auto *group = &split->statGroup();
-        bool colt_4k = design != TlbDesign::Split;
-        bool colt_super = design == TlbDesign::ColtPlusPlus;
-        if (colt_4k) {
-            split->addComponent(std::make_unique<ColtTlb>(
-                "t4k", group, 128, 4, PageSize::Size4K, 4));
-        } else {
-            split->addComponent(std::make_unique<SetAssocTlb>(
-                "t4k", group, 128, 4, PageSize::Size4K));
-        }
-        if (colt_super) {
-            split->addComponent(std::make_unique<ColtTlb>(
-                "t2m", group, 32, 4, PageSize::Size2M, 4));
-        } else {
-            split->addComponent(std::make_unique<SetAssocTlb>(
-                "t2m", group, 32, 4, PageSize::Size2M));
-        }
-        split->addComponent(std::make_unique<FullyAssocTlb>(
-            "t1g", group, 4,
-            std::initializer_list<PageSize>{PageSize::Size1G}));
-        return split;
-      }
+      case TlbDesign::ColtPlusPlus:
+        return makeSplitL1(name, parent, 128, 1,
+                           design != TlbDesign::Split,
+                           design == TlbDesign::ColtPlusPlus);
       case TlbDesign::Mix:
       case TlbDesign::MixColt:
       case TlbDesign::MixSuperIndex: {
@@ -280,11 +270,11 @@ makeGpuCoreL1(TlbDesign design, unsigned core, stats::StatGroup *parent,
       }
       case TlbDesign::HashRehash:
       case TlbDesign::HashRehashPred: {
-        HashRehashParams params;
+        SetAssocParams params;
         params.entries = 160;
         params.assoc = 4;
         params.usePredictor = design == TlbDesign::HashRehashPred;
-        return std::make_unique<HashRehashTlb>(name, parent, params);
+        return std::make_unique<SetAssocTlb>(name, parent, params);
       }
       case TlbDesign::Skew:
       case TlbDesign::SkewPred: {

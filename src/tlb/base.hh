@@ -45,6 +45,24 @@ struct BundleInfo
     PAddr translate(VAddr vaddr) const { return pbase + (vaddr - vbase); }
 };
 
+/**
+ * The slots of a coalescing window that the pages of @p bundle fill,
+ * as a mask over the window's first @p slots (<= 64) slots. The window
+ * holds @p size pages from @p wbase, and its slot s must map to
+ * @p wpbase + s pages with @p perms. A bundle is one VA- and
+ * PA-contiguous run of page-aligned pages with one perms value and one
+ * dirty bit, so its pages either all pass those per-page checks or
+ * none does: they share the window's page size, perms and PA-VA
+ * offset, or they do not. Those that pass are exactly the bundle's
+ * pages inside the window, one contiguous slot range (0 when empty).
+ */
+std::uint64_t bundleSlots(const BundleInfo &bundle, PageSize size,
+                          VAddr wbase, PAddr wpbase, pt::Perms perms,
+                          unsigned slots);
+
+/** Bits [lo, hi) of a 64-bit slot map; needs lo < hi <= 64. */
+std::uint64_t slotRange(unsigned lo, unsigned hi);
+
 /** Outcome of a TLB lookup. */
 struct TlbLookup
 {

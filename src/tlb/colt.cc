@@ -95,34 +95,28 @@ ColtTlb::fill(const FillInfo &fill)
     entry.bitmap = 1u << (leaf_slot & 31);
     bool all_dirty = leaf.dirty;
 
-    auto consider = [&](VAddr vbase, PAddr pbase, pt::Perms perms,
-                        bool dirty) {
-        if (perms != leaf.perms || vbase < entry.wbase)
-            return;
-        std::uint64_t slot64 = (vbase - entry.wbase) / page;
-        if (slot64 >= group_)
-            return;
-        if (pbase != entry.wpbase + slot64 * page)
-            return;
-        entry.bitmap |= 1u << (static_cast<unsigned>(slot64) & 31);
-        all_dirty = all_dirty && dirty;
-    };
-
     if (fill.walk && !fill.walk->pageFault() &&
         fill.walk->lineGranularity == size_) {
         for (const auto &slot : fill.walk->line) {
-            if (slot.present && slot.xlate.accessed) {
-                consider(slot.xlate.vbase, slot.xlate.pbase,
-                         slot.xlate.perms, slot.xlate.dirty);
+            const pt::Translation &xlate = slot.xlate;
+            if (!slot.present || !xlate.accessed ||
+                xlate.perms != leaf.perms || xlate.vbase < entry.wbase) {
+                continue;
             }
+            const std::uint64_t s = (xlate.vbase - entry.wbase) / page;
+            if (s >= group_ || xlate.pbase != entry.wpbase + s * page)
+                continue;
+            entry.bitmap |= 1u << (static_cast<unsigned>(s) & 31);
+            all_dirty = all_dirty && xlate.dirty;
         }
     }
-    if (fill.bundle && fill.bundle->size == size_) {
-        for (std::uint64_t i = 0; i < fill.bundle->count; i++) {
-            consider(fill.bundle->vbase + i * page,
-                     fill.bundle->pbase + i * page,
-                     fill.bundle->perms, fill.bundle->dirty);
-        }
+    if (fill.bundle) {
+        const std::uint64_t slots =
+            bundleSlots(*fill.bundle, size_, entry.wbase, entry.wpbase,
+                        leaf.perms, group_);
+        entry.bitmap |= static_cast<std::uint32_t>(slots);
+        if (slots != 0 && !fill.bundle->dirty)
+            all_dirty = false;
     }
     entry.dirty = all_dirty;
 

@@ -15,14 +15,6 @@ namespace mixtlb::tlb
 namespace
 {
 
-/** Bits [lo, hi) of a 64-bit slot map; needs lo < hi <= 64. */
-std::uint64_t
-slotRange(unsigned lo, unsigned hi)
-{
-    const unsigned width = hi - lo;
-    return width >= 64 ? ~0ULL : shiftLeft(pow2(width) - 1, lo);
-}
-
 /**
  * The run of set slots of @p map next to @p slot, as [lo, hi]: lo
  * walks down and hi walks up while the neighbouring slot is set, hi
@@ -295,42 +287,13 @@ MixTlb::buildEntry(const FillInfo &fill) const
                 all_dirty &= ~pow2(static_cast<unsigned>(s));
         }
     }
-    if (fill.bundle && fill.bundle->size == leaf.size) {
-        // A bundle is one VA- and PA-contiguous run of page-aligned
-        // pages with one perms value and one dirty bit, so its pages
-        // either all pass the per-page checks or none does: they share
-        // the leaf's perms and PA-VA offset, or they do not. Those that
-        // qualify are exactly the bundle's pages inside the window's
-        // first 'scratch' slots, one contiguous slot range.
-        const BundleInfo &bundle = *fill.bundle;
-        MIX_AUDIT(pageOffset(bundle.vbase, leaf.size) == 0 &&
-                  pageOffset(bundle.pbase, leaf.size) == 0,
-                  "bundle 0x%llx->0x%llx is not page aligned",
-                  (unsigned long long)bundle.vbase,
-                  (unsigned long long)bundle.pbase);
-        if (bundle.perms == leaf.perms &&
-            bundle.pbase - bundle.vbase == entry.wpbase - entry.wbase) {
-            // Slot range [s0, s1) of the bundle within the window,
-            // counted without forming addresses that could wrap.
-            std::uint64_t s0 = 0;
-            std::uint64_t count = bundle.count;
-            if (bundle.vbase >= entry.wbase) {
-                s0 = shiftRight(bundle.vbase - entry.wbase, shift);
-            } else {
-                const std::uint64_t before =
-                    shiftRight(entry.wbase - bundle.vbase, shift);
-                count = count > before ? count - before : 0;
-            }
-            if (s0 < scratch && count != 0) {
-                const std::uint64_t s1 =
-                    count >= scratch - s0 ? scratch : s0 + count;
-                const std::uint64_t mask = slotRange(
-                    static_cast<unsigned>(s0), static_cast<unsigned>(s1));
-                present |= mask;
-                if (!bundle.dirty)
-                    all_dirty &= ~mask;
-            }
-        }
+    if (fill.bundle) {
+        const std::uint64_t mask =
+            bundleSlots(*fill.bundle, leaf.size, entry.wbase,
+                        entry.wpbase, leaf.perms, scratch);
+        present |= mask;
+        if (!fill.bundle->dirty)
+            all_dirty &= ~mask;
     }
 
     if (leaf.size != PageSize::Size4K &&

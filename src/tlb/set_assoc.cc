@@ -8,29 +8,55 @@ namespace mixtlb::tlb
 {
 
 SetAssocTlb::SetAssocTlb(const std::string &name, stats::StatGroup *parent,
-                         std::uint64_t entries, unsigned assoc,
-                         PageSize size)
-    : BaseTlb(name, parent), entries_(entries), assoc_(assoc), size_(size),
-      referenceScan_(referenceScanEnabled())
+                         const SetAssocParams &params)
+    : BaseTlb(name, parent), entries_(params.entries),
+      assoc_(params.assoc), referenceScan_(referenceScanEnabled())
 {
-    fatal_if(assoc == 0 || entries == 0 || entries % assoc != 0,
+    fatal_if(assoc_ == 0 || entries_ == 0 || entries_ % assoc_ != 0,
              "TLB geometry does not divide evenly");
-    numSets_ = entries / assoc;
-    setMask_ = (numSets_ & (numSets_ - 1)) == 0 ? numSets_ - 1 : 0;
+    fatal_if(params.sizes.empty(), "TLB with no page sizes");
+    for (PageSize size : params.sizes) {
+        bool &cached = cached_[static_cast<unsigned>(size)];
+        fatal_if(cached, "TLB lists %s pages twice", pageSizeName(size));
+        cached = true;
+        sizes_[numSizes_++] = size;
+    }
+    numSets_ = entries_ / assoc_;
+    maskSets_ = (numSets_ & (numSets_ - 1)) == 0;
+    setMask_ = numSets_ - 1;
     sets_.resize(numSets_);
     for (auto &set : sets_)
         set.reserve(assoc_ + 1);
+    if (params.usePredictor) {
+        predictor_ = std::make_unique<SizePredictor>(
+            "predictor", &stats_, params.predictorEntries);
+    }
 }
 
 std::size_t
-SetAssocTlb::find(TagLaneSet<Entry> &set, std::uint64_t vpn) const
+SetAssocTlb::find(TagLaneSet<Entry> &set, std::uint64_t vpn,
+                  PageSize size) const
 {
-    const auto confirm = [&](const Entry &e) {
-        return e.vpn == vpn && e.asid == asid_;
-    };
-    if (referenceScan_)
-        return set.findIf(confirm);
-    return set.findTag(tagOf(vpn, asid_), confirm);
+    if (referenceScan_) {
+        return set.findIf([&](const Entry &e) {
+            return e.vpn == vpn && e.xlate.size == size && e.asid == asid_;
+        });
+    }
+    // Equal tags carry equal sizes and ASIDs (see tagOf).
+    return set.findTag(tagOf(vpn, size, asid_),
+                       [&](const Entry &e) { return e.vpn == vpn; });
+}
+
+const PageSize *
+SetAssocTlb::predictedOrder(VAddr vaddr)
+{
+    probeOrder_ = sizes_;
+    const auto end = probeOrder_.begin() + numSizes_;
+    const auto it =
+        std::find(probeOrder_.begin(), end, predictor_->predict(vaddr));
+    if (it != end)
+        std::rotate(probeOrder_.begin(), it, it + 1);
+    return probeOrder_.data();
 }
 
 // mixcheck: hot
@@ -39,17 +65,33 @@ SetAssocTlb::lookup(VAddr vaddr, bool is_store)
 {
     (void)is_store;
     TlbLookup result;
-    result.waysRead = assoc_;
-    std::uint64_t vpn = vpnOf(vaddr, size_);
-    auto &set = sets_[setOf(vpn)];
-    std::size_t i = find(set, vpn);
-    if (i != TagLaneSet<Entry>::npos) {
-        const Entry &e = set.payload(i);
-        result.hit = true;
-        result.xlate = e.xlate;
-        result.entryDirty = e.dirty;
-        set.rotateToFront(i); // move to MRU
+    const PageSize *order =
+        predictor_ ? predictedOrder(vaddr) : sizes_.data();
+    const Entry *entry = nullptr;
+    unsigned probes = 0;
+    while (!entry && probes < numSizes_) {
+        const PageSize size = order[probes++];
+        const std::uint64_t vpn = vpnOf(vaddr, size);
+        auto &set = setOf(vpn);
+        const std::size_t i = find(set, vpn, size);
+        if (i != TagLaneSet<Entry>::npos) {
+            set.rotateToFront(i); // move to MRU
+            entry = &set.payload(0);
+        }
     }
+    result.probes = probes;
+    result.waysRead = probes * assoc_;
+    if (entry) {
+        result.hit = true;
+        result.xlate = entry->xlate;
+        result.entryDirty = entry->dirty;
+        if (predictor_) {
+            predictor_->recordOutcome(result.probes == 1);
+            predictor_->update(vaddr, entry->xlate.size);
+        }
+    }
+    // A miss after exhausting all sizes resolves only via the walker;
+    // the predictor trains in fill().
     recordLookup(result);
     return result;
 }
@@ -58,49 +100,57 @@ SetAssocTlb::lookup(VAddr vaddr, bool is_store)
 void
 SetAssocTlb::fill(const FillInfo &fill)
 {
-    panic_if(fill.leaf.size != size_,
-             "filling a %s translation into a %s-only TLB",
-             pageSizeName(fill.leaf.size), pageSizeName(size_));
-    std::uint64_t vpn = fill.leaf.vpn();
-    auto &set = sets_[setOf(vpn)];
-    std::size_t i = find(set, vpn);
+    const PageSize size = fill.leaf.size;
+    panic_if(!supports(size), "TLB does not cache %s pages",
+             pageSizeName(size));
+    const std::uint64_t vpn = fill.leaf.vpn();
+    auto &set = setOf(vpn);
+    std::size_t i = find(set, vpn, size);
     if (i != TagLaneSet<Entry>::npos) {
         Entry &e = set.payload(i);
         e.xlate = fill.leaf;
         e.dirty = fill.leaf.dirty;
-        set.rotateToFront(i);
-        return;
+        set.rotateToFront(i); // move to MRU
+    } else {
+        set.insertFront(tagOf(vpn, size, asid_),
+                        Entry{vpn, asid_, fill.leaf, fill.leaf.dirty});
+        if (set.size() > assoc_)
+            set.popBack();
+        ++fills_;
     }
-    set.insertFront(tagOf(vpn, asid_),
-                    Entry{vpn, asid_, fill.leaf, fill.leaf.dirty});
-    if (set.size() > assoc_)
-        set.popBack();
-    ++fills_;
+    if (predictor_) {
+        // Train on the demanded address (predictor is 2MB-region
+        // indexed; a superpage base can hash to a different slot).
+        predictor_->update(fill.vaddr ? fill.vaddr : fill.leaf.vbase,
+                           size);
+    }
 }
 
 void
 SetAssocTlb::invalidate(VAddr vbase, PageSize size, Asid asid)
 {
     ++invalidations_;
-    if (size == size_) {
-        std::uint64_t vpn = vpnOf(vbase, size_);
-        auto &set = sets_[setOf(vpn)];
-        set.eraseIf([&](const Entry &e) {
-            return e.vpn == vpn && e.asid == asid;
+    if (supports(size)) {
+        // An entry of the shot-down size indexes one known set.
+        const std::uint64_t vpn = vpnOf(vbase, size);
+        setOf(vpn).eraseIf([&](const Entry &e) {
+            return e.vpn == vpn && e.xlate.size == size &&
+                   e.asid == asid;
         });
-        return;
+        if (numSizes_ == 1)
+            return;
     }
-    // Cross-size shootdown (superpage demotion/re-promotion): drop any
-    // entry whose page overlaps [vbase, vbase + bytes). A superpage
-    // window covers many of this size's VPNs — and therefore many
-    // sets — so scan them all; this is never on the hot lookup path.
-    const std::uint64_t page = pageBytes(size_);
+    // Entries of *other* sizes overlapping [vbase, vbase + bytes) —
+    // 4K children of a demoted superpage, or a stale superpage over a
+    // 4K shootdown — index unpredictable sets, so scan them all
+    // (shootdowns are off the hot lookup path).
     const VAddr lo = vbase;
     const VAddr hi = vbase + pageBytes(size);
     for (auto &set : sets_) {
         set.eraseIf([&](const Entry &e) {
-            const VAddr ebase = e.vpn * page;
-            return e.asid == asid && ebase < hi && ebase + page > lo;
+            const VAddr ebase = e.xlate.vbase;
+            return e.xlate.size != size && e.asid == asid && ebase < hi &&
+                   ebase + pageBytes(e.xlate.size) > lo;
         });
     }
 }
@@ -124,138 +174,16 @@ SetAssocTlb::invalidateAsid(Asid asid)
 void
 SetAssocTlb::markDirty(VAddr vaddr)
 {
-    std::uint64_t vpn = vpnOf(vaddr, size_);
-    auto &set = sets_[setOf(vpn)];
-    for (std::size_t i = 0; i < set.size(); ++i) {
-        Entry &entry = set.payload(i);
-        if (entry.vpn == vpn && entry.asid == asid_)
-            entry.dirty = true;
-    }
-}
-
-FullyAssocTlb::FullyAssocTlb(const std::string &name,
-                             stats::StatGroup *parent,
-                             std::uint64_t entries,
-                             std::initializer_list<PageSize> sizes)
-    : BaseTlb(name, parent), entries_(entries),
-      referenceScan_(referenceScanEnabled())
-{
-    fatal_if(entries == 0, "empty fully-associative TLB");
-    lru_.reserve(entries_ + 1);
-    for (PageSize size : sizes)
-        sizeMask_[static_cast<unsigned>(size)] = true;
-}
-
-bool
-FullyAssocTlb::supports(PageSize size) const
-{
-    return sizeMask_[static_cast<unsigned>(size)];
-}
-
-// mixcheck: hot
-TlbLookup
-FullyAssocTlb::lookup(VAddr vaddr, bool is_store)
-{
-    (void)is_store;
-    TlbLookup result;
-    result.waysRead = static_cast<unsigned>(entries_);
-    const auto confirm = [&](const Entry &e) {
-        return e.xlate.covers(vaddr) && e.asid == asid_;
-    };
-    std::size_t i;
-    if (referenceScan_) {
-        i = lru_.findIf(confirm);
-    } else {
-        // One candidate tag per supported page size: a covering entry
-        // of size s is based at pageBase(vaddr, s), so its tag must
-        // equal that size's candidate.
-        std::uint64_t cands[NumPageSizes] = {};
-        unsigned ncands = 0;
-        for (unsigned s = 0; s < NumPageSizes; ++s) {
-            if (sizeMask_[s]) {
-                const auto size = static_cast<PageSize>(s);
-                cands[ncands++] =
-                    tagOf(pageBase(vaddr, size), size, asid_);
-            }
+    for (unsigned s = 0; s < numSizes_; ++s) {
+        const PageSize size = sizes_[s];
+        const std::uint64_t vpn = vpnOf(vaddr, size);
+        auto &set = setOf(vpn);
+        for (std::size_t i = 0; i < set.size(); ++i) {
+            Entry &entry = set.payload(i);
+            if (entry.vpn == vpn && entry.xlate.size == size &&
+                entry.asid == asid_)
+                entry.dirty = true;
         }
-        i = lru_.findTagAny(cands, ncands, confirm);
-    }
-    if (i != TagLaneSet<Entry>::npos) {
-        const Entry &e = lru_.payload(i);
-        result.hit = true;
-        result.xlate = e.xlate;
-        result.entryDirty = e.dirty;
-        lru_.rotateToFront(i); // move to MRU
-    }
-    recordLookup(result);
-    return result;
-}
-
-// mixcheck: hot
-void
-FullyAssocTlb::fill(const FillInfo &fill)
-{
-    panic_if(!supports(fill.leaf.size),
-             "filling unsupported page size %s",
-             pageSizeName(fill.leaf.size));
-    const auto confirm = [&](const Entry &e) {
-        return e.xlate.vbase == fill.leaf.vbase &&
-               e.xlate.size == fill.leaf.size && e.asid == asid_;
-    };
-    const std::uint64_t tag =
-        tagOf(fill.leaf.vbase, fill.leaf.size, asid_);
-    std::size_t i = referenceScan_ ? lru_.findIf(confirm)
-                                   : lru_.findTag(tag, confirm);
-    if (i != TagLaneSet<Entry>::npos) {
-        Entry &e = lru_.payload(i);
-        e.xlate = fill.leaf;
-        e.dirty = fill.leaf.dirty;
-        lru_.rotateToFront(i);
-        return;
-    }
-    lru_.insertFront(tag, Entry{asid_, fill.leaf, fill.leaf.dirty});
-    if (lru_.size() > entries_)
-        lru_.popBack();
-    ++fills_;
-}
-
-void
-FullyAssocTlb::invalidate(VAddr vbase, PageSize size, Asid asid)
-{
-    ++invalidations_;
-    // Range semantics: any entry overlapping [vbase, vbase + bytes)
-    // is stale, whatever its own page size (a demoted superpage's
-    // entry must die on a 4K shootdown inside it, and vice versa).
-    const VAddr lo = vbase;
-    const VAddr hi = vbase + pageBytes(size);
-    lru_.eraseIf([&](const Entry &e) {
-        const VAddr ebase = e.xlate.vbase;
-        return e.asid == asid && ebase < hi &&
-               ebase + pageBytes(e.xlate.size) > lo;
-    });
-}
-
-void
-FullyAssocTlb::invalidateAll()
-{
-    ++invalidations_;
-    lru_.clear();
-}
-
-void
-FullyAssocTlb::invalidateAsid(Asid asid)
-{
-    ++invalidations_;
-    lru_.eraseIf([&](const Entry &e) { return e.asid == asid; });
-}
-
-void
-FullyAssocTlb::markDirty(VAddr vaddr)
-{
-    for (std::size_t i = 0; i < lru_.size(); ++i) {
-        Entry &entry = lru_.payload(i);
-        if (entry.xlate.covers(vaddr) && entry.asid == asid_)
-            entry.dirty = true;
     }
 }
 

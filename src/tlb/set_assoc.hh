@@ -1,37 +1,59 @@
 /**
  * @file
- * Classic single-page-size TLBs: set-associative (the building block of
- * commercial split TLBs) and fully-associative (used for the tiny 1GB
- * L1 TLBs in Haswell-class parts).
+ * The set-associative TLB array: the split TLB's per-size components,
+ * the fully-associative 1GB L1 of Haswell-class parts, and the
+ * hash-rehash TLB of Sec. 5.1 are all this one structure.
  */
 
 #ifndef MIXTLB_TLB_SET_ASSOC_HH
 #define MIXTLB_TLB_SET_ASSOC_HH
 
+#include <array>
+#include <memory>
 #include <vector>
 
 #include "tlb/base.hh"
+#include "tlb/predictor.hh"
 #include "tlb/tag_lane.hh"
 
 namespace mixtlb::tlb
 {
 
+struct SetAssocParams
+{
+    /** Total entries; must divide evenly by assoc. The set count need
+     *  not be a power of two (it then indexes modulo the set count). */
+    std::uint64_t entries = 512;
+    unsigned assoc = 8;
+    /** Page sizes this structure caches, in default probe order. */
+    std::vector<PageSize> sizes{PageSize::Size4K, PageSize::Size2M,
+                                PageSize::Size1G};
+    /** Probe first with a size predictor instead of fixed order. */
+    bool usePredictor = false;
+    unsigned predictorEntries = 512;
+};
+
 /**
- * A conventional set-associative TLB caching exactly one page size.
- * Index bits come from the low bits of that size's VPN; LRU within a
- * set. Lookups for other page sizes always miss (they belong in a
- * different split component).
+ * One set-associative array of @p entries entries, @p assoc ways per
+ * set, LRU within a set. A lookup probes the array once per cached
+ * page size, indexing with that size's VPN, until one hits; each probe
+ * reads @p assoc ways.
+ *
+ *  - One size: a split TLB component (lookups for other sizes belong
+ *    in a different component and always miss).
+ *  - `assoc == entries`: fully associative — one set, so indexing
+ *    never conflicts (the Haswell 1GB L1).
+ *  - Several sizes: the hash-rehash TLB (Sec. 5.1), the organisation
+ *    of Intel's unified 4KB+2MB L2 TLBs. Sizes are probed in the
+ *    listed order, or predicted size first with `usePredictor` (the
+ *    "prediction-based enhancement" of [10]); its cost is variable
+ *    hit latency and extra probe energy, which Figure 16 quantifies.
  */
-class SetAssocTlb : public BaseTlb
+class SetAssocTlb final : public BaseTlb
 {
   public:
-    /**
-     * @param entries total entries; must divide evenly by @p assoc.
-     * Sets need not be a power of two (the simulator indexes modulo
-     * the set count).
-     */
     SetAssocTlb(const std::string &name, stats::StatGroup *parent,
-                std::uint64_t entries, unsigned assoc, PageSize size);
+                const SetAssocParams &params);
 
     using BaseTlb::invalidate;
 
@@ -42,27 +64,34 @@ class SetAssocTlb : public BaseTlb
     void invalidateAsid(Asid asid) override;
     void markDirty(VAddr vaddr) override;
 
-    bool supports(PageSize size) const override { return size == size_; }
+    bool
+    supports(PageSize size) const override
+    {
+        return cached_[static_cast<unsigned>(size)];
+    }
     std::uint64_t numEntries() const override { return entries_; }
     unsigned numWays() const override { return assoc_; }
 
     /**
-     * Lookups only rotate the hit entry to the MRU front: within one
-     * 4KB page the VPN — hence the set, the match, and the (no-op)
-     * rotate — cannot change, for hits and misses alike.
+     * Without a predictor the probe order is fixed and every probed
+     * VPN is constant across a 4KB page, so the probe sequence, the
+     * outcome, and the (no-op) MRU rotate all repeat. Predictor
+     * lookups train on every hit — never replayable.
      */
     bool
     replayable(const TlbLookup &result, VAddr vaddr) const override
     {
         (void)result;
         (void)vaddr;
-        return true;
+        return !predictor_;
     }
+
+    const SizePredictor *predictor() const { return predictor_.get(); }
 
   private:
     struct Entry
     {
-        std::uint64_t vpn; ///< in this page size's units
+        std::uint64_t vpn; ///< in the entry's own page-size units
         Asid asid;
         pt::Translation xlate;
         bool dirty;
@@ -70,95 +99,50 @@ class SetAssocTlb : public BaseTlb
 
     std::uint64_t entries_;
     unsigned assoc_;
-    PageSize size_;
+    /** The cached sizes in probe order; the first numSizes_ are set. */
+    std::array<PageSize, NumPageSizes> sizes_{};
+    unsigned numSizes_ = 0;
     std::uint64_t numSets_;
-    /** Mask for power-of-two set counts; 0 selects the modulo path. */
+    /** Index with `vpn & setMask_` (power-of-two set counts) or
+     *  `vpn % numSets_`. */
+    bool maskSets_;
     std::uint64_t setMask_;
+    bool cached_[NumPageSizes] = {};
     /** Ctor-latched referenceScanEnabled(): full-predicate scans. */
     bool referenceScan_;
-    /** Per-set SoA ways, front = MRU (small, so shifts are cheap). */
+    /** Per-set SoA ways in LRU order (front = MRU); each lane is
+     *  reserved to assoc + 1 at construction so the hot path never
+     *  reallocates. */
     std::vector<TagLaneSet<Entry>> sets_;
+    std::unique_ptr<SizePredictor> predictor_;
+    /** Probe-order scratch of predictor lookups. */
+    std::array<PageSize, NumPageSizes> probeOrder_{};
 
-    std::uint64_t
-    setOf(std::uint64_t vpn) const
+    TagLaneSet<Entry> &
+    setOf(std::uint64_t vpn)
     {
-        return setMask_ ? (vpn & setMask_) : vpn % numSets_;
-    }
-
-    /** Tag lane packing: collisions confirmed against the payload. */
-    static std::uint64_t
-    tagOf(std::uint64_t vpn, Asid asid)
-    {
-        return (vpn << 16) | asid;
-    }
-
-    /** First way matching (vpn, asid), or npos. */
-    std::size_t find(TagLaneSet<Entry> &set, std::uint64_t vpn) const;
-};
-
-/**
- * A fully-associative TLB. It may be restricted to a subset of page
- * sizes (e.g. the 4-entry 1GB L1 TLB) — full associativity sidesteps
- * the set-index chicken-and-egg problem, at high lookup energy.
- */
-class FullyAssocTlb : public BaseTlb
-{
-  public:
-    FullyAssocTlb(const std::string &name, stats::StatGroup *parent,
-                  std::uint64_t entries,
-                  std::initializer_list<PageSize> sizes);
-
-    using BaseTlb::invalidate;
-
-    TlbLookup lookup(VAddr vaddr, bool is_store) override;
-    void fill(const FillInfo &fill) override;
-    void invalidate(VAddr vbase, PageSize size, Asid asid) override;
-    void invalidateAll() override;
-    void invalidateAsid(Asid asid) override;
-    void markDirty(VAddr vaddr) override;
-
-    bool supports(PageSize size) const override;
-    std::uint64_t numEntries() const override { return entries_; }
-    unsigned numWays() const override
-    {
-        return static_cast<unsigned>(entries_);
+        return sets_[maskSets_ ? vpn & setMask_ : vpn % numSets_];
     }
 
     /**
-     * Page coverage is constant across a 4KB page (every cached page
-     * is at least 4KB and aligned), and a hit leaves its entry at the
-     * MRU front, so any outcome replays within the page.
+     * Tag lane packing: size and ASID fill the low 20 bits exactly, so
+     * equal tags differ at most in VPN bits shifted out at the top,
+     * which find() confirms against the payload.
      */
-    bool
-    replayable(const TlbLookup &result, VAddr vaddr) const override
-    {
-        (void)result;
-        (void)vaddr;
-        return true;
-    }
-
-  private:
-    struct Entry
-    {
-        Asid asid;
-        pt::Translation xlate;
-        bool dirty;
-    };
-
-    std::uint64_t entries_;
-    bool sizeMask_[NumPageSizes] = {};
-    /** Ctor-latched referenceScanEnabled(): full-predicate scans. */
-    bool referenceScan_;
-    TagLaneSet<Entry> lru_; ///< front = MRU
-
-    /** Tag lane packing: collisions confirmed against the payload. */
     static std::uint64_t
-    tagOf(VAddr vbase, PageSize size, Asid asid)
+    tagOf(std::uint64_t vpn, PageSize size, Asid asid)
     {
-        return ((vbase >> PageShift4K) << 20) |
+        return (vpn << 20) |
                (std::uint64_t(static_cast<unsigned>(size)) << 16) |
                asid;
     }
+
+    /** First way matching (vpn, size, active ASID), or npos. */
+    std::size_t find(TagLaneSet<Entry> &set, std::uint64_t vpn,
+                     PageSize size) const;
+
+    /** The predicted size first, then the rest in order (in probeOrder_). */
+    const PageSize *predictedOrder(VAddr vaddr);
 };
 
 } // namespace mixtlb::tlb

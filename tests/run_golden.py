@@ -1,42 +1,39 @@
 #!/usr/bin/env python3
-"""Golden check for the fig14 sweep (ctest: fig14_golden).
+"""Golden check for a figure's sweep (ctests: fig14_golden, fig16_golden,
+fig18_golden).
 
-Runs the fixed-seed fig14 mini-grid once per worker count and asserts
-two things about the emitted JSON reports, ignoring the recorded
-"jobs" field:
+Runs a fixed-seed mini-grid of one bench binary once per worker count
+and asserts two things about the emitted JSON reports, ignoring the
+recorded "jobs" field:
 
   - every worker count produces the same report (the sweep runner is
     deterministic across threads);
   - the first worker count's report equals the committed golden report
-    tests/golden/fig14_mini.json (no change moved a modeled number).
+    (no change moved a modeled number).
 
 The hot path carries several bit-exactness fast paths (L0 MRU filter,
 SoA tag lanes, fused batch translation); any of them leaking into
 modeled results shows up here as a mismatch, named by the first
 differing grid point.
 
-Usage: run_fig14_golden.py <fig14_mix_vs_split binary> [jobs...]
+Usage: run_golden.py --golden <report.json> [--jobs 1,8]
+                     <bench binary> [grid flags...]
+
+The grid flags are passed to the binary as given, followed by
+`--no-timing --jobs N --json <tmp>`. A golden is the `--no-timing`
+report of the same flags with its "jobs" line removed.
 """
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 import tempfile
 
-MINI_GRID = [
-    "--refs", "4000",
-    "--footprint-mb", "192",
-    "--footprint-4k-mb", "96",
-    "--no-timing",
-]
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "golden", "fig14_mini.json")
-
-
-def fail(message: str) -> None:
-    print(f"fig14_golden: FAIL: {message}")
+def fail(name: str, message: str) -> None:
+    print(f"{name}: FAIL: {message}")
     sys.exit(1)
 
 
@@ -96,22 +93,32 @@ def value_at(record, path: str):
 
 
 def main() -> None:
-    if len(sys.argv) < 2:
-        fail("usage: run_fig14_golden.py <binary> [jobs...]")
-    binary = sys.argv[1]
-    jobs = sys.argv[2:] or ["1", "8"]
+    parser = argparse.ArgumentParser(
+        description="Compare a bench's mini-grid report to a golden.")
+    parser.add_argument("--golden", required=True,
+                        help="committed --no-timing report")
+    parser.add_argument("--jobs", default="1,8",
+                        help="comma-separated worker counts")
+    parser.add_argument("binary")
+    parser.add_argument("flags", nargs=argparse.REMAINDER,
+                        help="grid flags passed to the binary")
+    args = parser.parse_args()
+    name = os.path.splitext(os.path.basename(args.golden))[0]
+    jobs = args.jobs.split(",")
 
     reports = {}
     with tempfile.TemporaryDirectory() as tmpdir:
         for n in jobs:
-            path = os.path.join(tmpdir, f"fig14_j{n}.json")
-            cmd = [binary, *MINI_GRID, "--jobs", n, "--json", path]
+            path = os.path.join(tmpdir, f"report_j{n}.json")
+            cmd = [args.binary, *args.flags, "--no-timing", "--jobs", n,
+                   "--json", path]
             result = subprocess.run(
                 cmd, stdout=subprocess.DEVNULL,
                 stderr=subprocess.PIPE, text=True
             )
             if result.returncode != 0:
                 fail(
+                    name,
                     f"--jobs {n} exited {result.returncode}:\n"
                     f"{result.stderr}"
                 )
@@ -124,20 +131,22 @@ def main() -> None:
     for n in jobs[1:]:
         if reports[n] != first:
             fail(
+                name,
                 f"report with --jobs {n} differs from --jobs {jobs[0]} "
                 "(beyond the 'jobs' field)"
             )
 
-    with open(GOLDEN, encoding="utf-8") as handle:
+    with open(args.golden, encoding="utf-8") as handle:
         golden = json.load(handle)
     golden.pop("jobs", None)
     if first != golden:
         fail(
-            f"--jobs {jobs[0]} report differs from {GOLDEN}: "
+            name,
+            f"--jobs {jobs[0]} report differs from {args.golden}: "
             f"{describe_golden_mismatch(golden, first)}"
         )
     print(
-        f"fig14_golden: OK: {len(jobs)} worker counts "
+        f"{name}: OK: {len(jobs)} worker counts "
         f"({', '.join(jobs)}) produced identical reports, equal to "
         "the committed golden"
     )

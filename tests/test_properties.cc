@@ -29,7 +29,6 @@
 #include "pt/walker.hh"
 #include "sim/machine.hh"
 #include "tlb/colt.hh"
-#include "tlb/hash_rehash.hh"
 #include "tlb/hierarchy.hh"
 #include "tlb/mix.hh"
 #include "tlb/set_assoc.hh"
@@ -222,21 +221,20 @@ class FamilyProperty : public ::testing::TestWithParam<Family>
           case Family::Split: {
             auto split = std::make_unique<SplitTlb>("t", root);
             split->addComponent(std::make_unique<SetAssocTlb>(
-                "t4k", root, 64, 4, PageSize::Size4K));
+                "t4k", root, SetAssocParams{64, 4, {PageSize::Size4K}}));
             split->addComponent(std::make_unique<SetAssocTlb>(
-                "t2m", root, 32, 4, PageSize::Size2M));
-            split->addComponent(std::make_unique<FullyAssocTlb>(
-                "t1g", root, 4,
-                std::initializer_list<PageSize>{PageSize::Size1G}));
+                "t2m", root, SetAssocParams{32, 4, {PageSize::Size2M}}));
+            split->addComponent(std::make_unique<SetAssocTlb>(
+                "t1g", root, SetAssocParams{4, 4, {PageSize::Size1G}}));
             return split;
           }
           case Family::HashRehash:
           case Family::HashRehashPred: {
-            HashRehashParams params;
+            SetAssocParams params;
             params.entries = 96;
             params.assoc = 6;
             params.usePredictor = family == Family::HashRehashPred;
-            return std::make_unique<HashRehashTlb>("t", root, params);
+            return std::make_unique<SetAssocTlb>("t", root, params);
           }
           case Family::Skew:
           case Family::SkewPred: {

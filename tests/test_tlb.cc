@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the non-MIX TLB designs (split set-associative, fully
- * associative, hash-rehash with prediction, skew-associative, COLT,
- * ideal) and the two-level TLB hierarchy.
+ * Tests for the non-MIX TLB designs (the set-associative array as a
+ * split component, fully associative and hash-rehash with prediction;
+ * skew-associative, COLT, ideal) and the two-level TLB hierarchy.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "pt/page_table.hh"
 #include "pt/walker.hh"
 #include "tlb/colt.hh"
-#include "tlb/hash_rehash.hh"
 #include "tlb/hierarchy.hh"
 #include "tlb/ideal.hh"
 #include "tlb/mix.hh"
@@ -97,7 +96,7 @@ simpleFill(const pt::Translation &leaf)
 TEST(SetAssoc, HitMissAndLru)
 {
     stats::StatGroup root("test");
-    SetAssocTlb tlb("t", &root, 8, 2, PageSize::Size4K); // 4 sets
+    SetAssocTlb tlb("t", &root, {8, 2, {PageSize::Size4K}}); // 4 sets
     tlb.fill(simpleFill(xlate4k(0x0000, 0x10000)));
     EXPECT_TRUE(tlb.lookup(0x0123, false).hit);
     EXPECT_FALSE(tlb.lookup(0x1000, false).hit);
@@ -113,7 +112,7 @@ TEST(SetAssoc, HitMissAndLru)
 TEST(SetAssoc, RejectsOtherPageSizes)
 {
     stats::StatGroup root("test");
-    SetAssocTlb tlb("t", &root, 8, 2, PageSize::Size2M);
+    SetAssocTlb tlb("t", &root, {8, 2, {PageSize::Size2M}});
     EXPECT_TRUE(tlb.supports(PageSize::Size2M));
     EXPECT_FALSE(tlb.supports(PageSize::Size4K));
     tlb.fill(simpleFill(xlate2m(0x00400000, 0x0)));
@@ -124,7 +123,7 @@ TEST(SetAssoc, RejectsOtherPageSizes)
 TEST(SetAssoc, InvalidateAndDirty)
 {
     stats::StatGroup root("test");
-    SetAssocTlb tlb("t", &root, 8, 2, PageSize::Size4K);
+    SetAssocTlb tlb("t", &root, {8, 2, {PageSize::Size4K}});
     tlb.fill(simpleFill(xlate4k(0x1000, 0x10000)));
     EXPECT_FALSE(tlb.lookup(0x1000, false).entryDirty);
     tlb.markDirty(0x1000);
@@ -135,9 +134,10 @@ TEST(SetAssoc, InvalidateAndDirty)
 
 TEST(FullyAssoc, MultiSizeAndLru)
 {
+    // One set (assoc == entries) shared by two page sizes.
     stats::StatGroup root("test");
-    FullyAssocTlb tlb("t", &root, 2,
-                      {PageSize::Size2M, PageSize::Size1G});
+    SetAssocTlb tlb("t", &root,
+                    {2, 2, {PageSize::Size2M, PageSize::Size1G}});
     tlb.fill(simpleFill(xlate2m(0x00400000, 0x0)));
     pt::Translation big;
     big.vbase = 4 * GiB;
@@ -159,12 +159,11 @@ TEST(Split, RoutesBySizeAndProbesAll)
     stats::StatGroup root("test");
     SplitTlb split("split", &root);
     split.addComponent(std::make_unique<SetAssocTlb>(
-        "t4k", &root, 16, 4, PageSize::Size4K));
+        "t4k", &root, SetAssocParams{16, 4, {PageSize::Size4K}}));
     split.addComponent(std::make_unique<SetAssocTlb>(
-        "t2m", &root, 8, 4, PageSize::Size2M));
-    split.addComponent(std::make_unique<FullyAssocTlb>(
-        "t1g", &root, 4, std::initializer_list<PageSize>{
-            PageSize::Size1G}));
+        "t2m", &root, SetAssocParams{8, 4, {PageSize::Size2M}}));
+    split.addComponent(std::make_unique<SetAssocTlb>(
+        "t1g", &root, SetAssocParams{4, 4, {PageSize::Size1G}}));
 
     split.fill(simpleFill(xlate4k(0x1000, 0x10000)));
     split.fill(simpleFill(xlate2m(0x00400000, 0x0)));
@@ -187,9 +186,9 @@ TEST(Split, SuperpageThrashingDespiteFreeSmallEntries)
     stats::StatGroup root("test");
     SplitTlb split("split", &root);
     split.addComponent(std::make_unique<SetAssocTlb>(
-        "t4k", &root, 64, 4, PageSize::Size4K));
-    split.addComponent(std::make_unique<SetAssocTlb>(
-        "t2m", &root, 4, 4, PageSize::Size2M)); // 1 set, 4 ways
+        "t4k", &root, SetAssocParams{64, 4, {PageSize::Size4K}}));
+    split.addComponent(std::make_unique<SetAssocTlb>( // 1 set, 4 ways
+        "t2m", &root, SetAssocParams{4, 4, {PageSize::Size2M}}));
 
     for (int i = 0; i < 8; i++)
         split.fill(simpleFill(xlate2m(i * PageBytes2M, i * PageBytes2M)));
@@ -204,10 +203,10 @@ TEST(Split, SuperpageThrashingDespiteFreeSmallEntries)
 TEST(HashRehash, ProbeCountsAndHits)
 {
     stats::StatGroup root("test");
-    HashRehashParams params;
+    SetAssocParams params;
     params.entries = 64;
     params.assoc = 4;
-    HashRehashTlb tlb("hr", &root, params);
+    SetAssocTlb tlb("hr", &root, params);
 
     tlb.fill(simpleFill(xlate4k(0x1000, 0x10000)));
     tlb.fill(simpleFill(xlate2m(0x00400000, 0x0)));
@@ -229,11 +228,11 @@ TEST(HashRehash, ProbeCountsAndHits)
 TEST(HashRehash, PredictorCutsProbes)
 {
     stats::StatGroup root("test");
-    HashRehashParams params;
+    SetAssocParams params;
     params.entries = 64;
     params.assoc = 4;
     params.usePredictor = true;
-    HashRehashTlb tlb("hr", &root, params);
+    SetAssocTlb tlb("hr", &root, params);
 
     tlb.fill(simpleFill(xlate2m(0x00400000, 0x0)));
     // The fill trained the predictor, so the first probe goes straight
@@ -257,10 +256,10 @@ TEST(HashRehash, SizesShareCapacity)
 {
     // Unlike split TLBs, one size can use the whole structure.
     stats::StatGroup root("test");
-    HashRehashParams params;
+    SetAssocParams params;
     params.entries = 64;
     params.assoc = 4;
-    HashRehashTlb tlb("hr", &root, params);
+    SetAssocTlb tlb("hr", &root, params);
     for (int i = 0; i < 32; i++)
         tlb.fill(simpleFill(xlate2m(i * PageBytes2M, i * PageBytes2M)));
     unsigned resident = 0;
@@ -702,9 +701,9 @@ TEST(Skew, LookupHotPathIsAllocationFree)
 TEST(HashRehash, LookupHotPathIsAllocationFree)
 {
     stats::StatGroup root("test");
-    HashRehashParams params;
+    SetAssocParams params;
     params.usePredictor = true;
-    HashRehashTlb tlb("hr", &root, params);
+    SetAssocTlb tlb("hr", &root, params);
     tlb.fill(simpleFill(xlate4k(0x1000, 0x10000)));
     tlb.fill(simpleFill(xlate2m(0x00400000, 0x0)));
     tlb.lookup(0x1000, false);
@@ -716,7 +715,7 @@ TEST(HashRehash, LookupHotPathIsAllocationFree)
         tlb.lookup(0x7f000000, false);
     }
     EXPECT_EQ(g_heapAllocs.load(), before)
-        << "HashRehashTlb::lookup allocated on the hot path";
+        << "SetAssocTlb::lookup allocated on the hot path";
 }
 
 TEST(Skew, PredictorTrainsWithDemandedAddressOnFill)
@@ -757,16 +756,17 @@ makeAsidTlbs(stats::StatGroup &root)
     std::vector<std::pair<std::string, std::unique_ptr<BaseTlb>>> out;
     out.emplace_back("set_assoc",
                      std::make_unique<SetAssocTlb>(
-                         "sa", &root, 64, 4, PageSize::Size4K));
+                         "sa", &root,
+                         SetAssocParams{64, 4, {PageSize::Size4K}}));
     out.emplace_back(
         "fully_assoc",
-        std::make_unique<FullyAssocTlb>(
-            "fa", &root, 32,
-            std::initializer_list<PageSize>{PageSize::Size4K,
-                                            PageSize::Size2M}));
+        std::make_unique<SetAssocTlb>(
+            "fa", &root,
+            SetAssocParams{32, 32,
+                           {PageSize::Size4K, PageSize::Size2M}}));
     out.emplace_back("hash_rehash",
-                     std::make_unique<HashRehashTlb>(
-                         "hr", &root, HashRehashParams{}));
+                     std::make_unique<SetAssocTlb>(
+                         "hr", &root, SetAssocParams{}));
     out.emplace_back("skew", std::make_unique<SkewTlb>(
                                  "skew", &root, SkewTlbParams{}));
     out.emplace_back("colt",
@@ -776,9 +776,9 @@ makeAsidTlbs(stats::StatGroup &root)
                                                      MixTlbParams{}));
     auto split = std::make_unique<SplitTlb>("split", &root);
     split->addComponent(std::make_unique<SetAssocTlb>(
-        "split_4k", &root, 64, 4, PageSize::Size4K));
+        "split_4k", &root, SetAssocParams{64, 4, {PageSize::Size4K}}));
     split->addComponent(std::make_unique<SetAssocTlb>(
-        "split_2m", &root, 32, 4, PageSize::Size2M));
+        "split_2m", &root, SetAssocParams{32, 4, {PageSize::Size2M}}));
     out.emplace_back("split", std::move(split));
     return out;
 }
@@ -949,9 +949,9 @@ TEST(RangeInvalidate, GigapageWindowDrops2mLeaves)
     // shootdown (1GB -> 512 x 2MB demotion re-walks every child).
     stats::StatGroup root("test");
     constexpr VAddr gbase = 4 * GiB;
-    FullyAssocTlb fa("fa", &root, 32,
-                     std::initializer_list<PageSize>{PageSize::Size4K,
-                                                     PageSize::Size2M});
+    // One set shared by 4KB and 2MB pages.
+    SetAssocTlb fa("fa", &root,
+                   {32, 32, {PageSize::Size4K, PageSize::Size2M}});
     MixTlb mix("mix", &root, MixTlbParams{});
     std::vector<BaseTlb *> tlbs{&fa, &mix};
     for (BaseTlb *tlb : tlbs) {
@@ -972,9 +972,9 @@ TEST(RangeInvalidate, SmallShootdownKillsStaleSuperpageEntry)
     // 2MB entry overlapping it is stale and must die too.
     stats::StatGroup root("test");
     constexpr VAddr region = 0x00400000;
-    FullyAssocTlb fa("fa", &root, 32,
-                     std::initializer_list<PageSize>{PageSize::Size4K,
-                                                     PageSize::Size2M});
+    // One set shared by 4KB and 2MB pages.
+    SetAssocTlb fa("fa", &root,
+                   {32, 32, {PageSize::Size4K, PageSize::Size2M}});
     MixTlb mix("mix", &root, MixTlbParams{});
     std::vector<BaseTlb *> tlbs{&fa, &mix};
     for (BaseTlb *tlb : tlbs) {
@@ -1047,6 +1047,157 @@ TEST(Colt, RangeInvalidatePartiallyOverlappingRun)
         << "trimming the run dropped the surviving superpage";
     EXPECT_FALSE(tlb.lookup(0x00600000, false).hit);
 }
+
+namespace
+{
+
+/** A COLT geometry for ColtBundle.MatchesPerPageReference. */
+struct ColtGeometry
+{
+    const char *name;
+    PageSize size;
+    unsigned group;
+};
+
+class ColtBundle : public ::testing::TestWithParam<ColtGeometry>
+{
+};
+
+} // anonymous namespace
+
+// The twin of BundleIntersection.MatchesPerPageReference (test_mix.cc)
+// for COLT: seeded fills carrying a walk line and/or an upper-level
+// bundle that straddles either window edge, sits one page off the
+// window's PA affinity, carries other perms or another page size, is
+// clean or dirty, and holds 1 to 12 pages. Every window slot's lookup
+// on a fresh TLB must match the entry a per-page check of each line
+// slot and each bundle page builds.
+TEST_P(ColtBundle, MatchesPerPageReference)
+{
+    const ColtGeometry &geometry = GetParam();
+    const PageSize size = geometry.size;
+    const unsigned group = geometry.group;
+    const std::uint64_t page = pageBytes(size);
+    const std::uint64_t span = group * page;
+    const pt::Perms perms[2] = {pt::Perms{}, pt::Perms{false, true, true}};
+
+    Rng rng(0xc017 + static_cast<unsigned>(size));
+    for (int iter = 0; iter < 600; iter++) {
+        SCOPED_TRACE(testing::Message() << "fill " << iter);
+        stats::StatGroup root("colt");
+        ColtTlb tlb("colt", &root, 32, 4, size, group);
+
+        const VAddr region = (1ULL << 44) + rng.nextBounded(1ULL << 40);
+        const VAddr wbase = region - region % span;
+        const auto leaf_slot =
+            static_cast<unsigned>(rng.nextBounded(group));
+        FillInfo fill;
+        fill.leaf.vbase = wbase + leaf_slot * page;
+        fill.leaf.pbase =
+            (1ULL << 40) + rng.nextBounded(1ULL << 16) * page;
+        fill.leaf.size = size;
+        fill.leaf.perms = perms[rng.nextBounded(2)];
+        fill.leaf.accessed = true;
+        fill.leaf.dirty = rng.chance(0.5);
+        fill.vaddr = fill.leaf.vbase;
+        const PAddr wpbase = fill.leaf.pbase - leaf_slot * page;
+
+        // The reference entry: one per-page check per candidate.
+        std::uint32_t bitmap = 1u << leaf_slot;
+        bool dirty = fill.leaf.dirty;
+        auto consider = [&](VAddr vbase, PAddr pbase, pt::Perms p,
+                            bool d) {
+            if (p != fill.leaf.perms || vbase < wbase)
+                return;
+            const std::uint64_t slot = (vbase - wbase) / page;
+            if (slot >= group || pbase != wpbase + slot * page)
+                return;
+            bitmap |= 1u << slot;
+            dirty = dirty && d;
+        };
+
+        pt::WalkResult walk;
+        if (rng.chance(0.5)) {
+            walk.leaf = fill.leaf;
+            walk.lineGranularity = size;
+            const VAddr line = fill.leaf.vbase - (leaf_slot % 8) * page;
+            for (unsigned i = 0; i < 8; i++) {
+                pt::LinePte pte;
+                pte.present = rng.chance(0.8);
+                pte.xlate.vbase = line + i * page;
+                pte.xlate.pbase = wpbase + (pte.xlate.vbase - wbase) +
+                                  (rng.chance(0.2) ? page : 0);
+                pte.xlate.size = size;
+                pte.xlate.perms =
+                    rng.chance(0.85) ? fill.leaf.perms : perms[1];
+                pte.xlate.accessed = rng.chance(0.85);
+                pte.xlate.dirty = rng.chance(0.5);
+                walk.line.push_back(pte);
+                if (pte.present && pte.xlate.accessed) {
+                    consider(pte.xlate.vbase, pte.xlate.pbase,
+                             pte.xlate.perms, pte.xlate.dirty);
+                }
+            }
+            fill.walk = &walk;
+        }
+        if (rng.chance(0.9)) {
+            BundleInfo bundle;
+            bundle.count = 1 + rng.nextBounded(12);
+            const auto lo = -static_cast<std::int64_t>(bundle.count) - 2;
+            const std::int64_t start =
+                lo + static_cast<std::int64_t>(rng.nextBounded(
+                         static_cast<std::uint64_t>(group + 4 - lo)));
+            const auto offset = static_cast<std::uint64_t>(start) * page;
+            bundle.vbase = wbase + offset;
+            bundle.pbase = wpbase + offset;
+            if (rng.chance(0.2))
+                bundle.pbase += rng.chance(0.5) ? page : 0 - page;
+            bundle.size = rng.chance(0.95) ? size
+                                           : (size == PageSize::Size2M
+                                                  ? PageSize::Size1G
+                                                  : PageSize::Size2M);
+            bundle.perms = rng.chance(0.8) ? fill.leaf.perms : perms[1];
+            bundle.dirty = rng.chance(0.5);
+            fill.bundle = bundle;
+            if (bundle.size == size) {
+                for (std::uint64_t i = 0; i < bundle.count; i++) {
+                    consider(bundle.vbase + i * page,
+                             bundle.pbase + i * page, bundle.perms,
+                             bundle.dirty);
+                }
+            }
+        }
+
+        tlb.fill(fill);
+        for (unsigned slot = 0; slot < group; slot++) {
+            SCOPED_TRACE(testing::Message() << "slot " << slot);
+            const VAddr va = wbase + slot * page + (page - 1) / 2;
+            const auto result = tlb.lookup(va, false);
+            const bool present = (bitmap >> slot) & 1;
+            ASSERT_EQ(result.hit, present);
+            if (!present)
+                continue;
+            EXPECT_EQ(result.entryDirty, dirty);
+            EXPECT_EQ(result.xlate.translate(va), wpbase + (va - wbase));
+            unsigned run_lo = slot, run_hi = slot;
+            while (run_lo > 0 && ((bitmap >> (run_lo - 1)) & 1))
+                run_lo--;
+            while (run_hi + 1 < group && ((bitmap >> (run_hi + 1)) & 1))
+                run_hi++;
+            ASSERT_TRUE(result.bundle.has_value());
+            EXPECT_EQ(result.bundle->vbase, wbase + run_lo * page);
+            EXPECT_EQ(result.bundle->count, run_hi - run_lo + 1);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, ColtBundle,
+    ::testing::Values(ColtGeometry{"Colt4K", PageSize::Size4K, 4},
+                      ColtGeometry{"Colt2M", PageSize::Size2M, 4}),
+    [](const ::testing::TestParamInfo<ColtGeometry> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(Mix, SuperpageInvalidateDropsAllMirrorCopies)
 {

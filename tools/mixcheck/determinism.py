@@ -14,8 +14,8 @@ import re
 # A range-for body containing any of these flows iteration order into
 # observable output or simulated state.
 SINKS = ("MIX_AUDIT_CHECK", "addScalar", "addCounter", "addFormula",
-         "addDistribution", ".fail(", "report.fail", "fill(", "->fill",
-         "invalidate", "dump(", "writeFile", "Json", "json")
+         ".fail(", "report.fail", "fill(", "->fill", "invalidate",
+         "dump(", "writeFile", "Json", "json")
 
 TIME_RE = re.compile(r"(?<![\w.:>])time\s*\(")
 RANDOM_DEVICE_RE = re.compile(r"std\s*::\s*random_device")
