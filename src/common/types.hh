@@ -74,6 +74,10 @@ enum class PageSize : std::uint8_t
 /** Number of distinct architectural page sizes. */
 constexpr unsigned NumPageSizes = 3;
 
+/** Every page size, smallest first. */
+inline constexpr PageSize AllPageSizes[NumPageSizes] = {
+    PageSize::Size4K, PageSize::Size2M, PageSize::Size1G};
+
 /** Page-offset bit count for a given page size. */
 constexpr unsigned
 pageShift(PageSize size)

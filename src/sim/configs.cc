@@ -1,7 +1,6 @@
 #include "configs.hh"
 
 #include "common/logging.hh"
-#include "tlb/colt.hh"
 #include "tlb/ideal.hh"
 #include "tlb/mix.hh"
 #include "tlb/set_assoc.hh"
@@ -49,6 +48,23 @@ namespace
 {
 
 /**
+ * A split-TLB component caching @p size alone: a plain set-associative
+ * array, or with @p colt a COLT one.
+ */
+std::unique_ptr<BaseTlb>
+makeComponent(const std::string &name, stats::StatGroup *parent,
+              std::uint64_t entries, unsigned assoc, PageSize size,
+              bool colt)
+{
+    if (colt) {
+        return std::make_unique<MixTlb>(name, parent,
+                                        coltParams(entries, assoc, size));
+    }
+    return std::make_unique<SetAssocTlb>(
+        name, parent, SetAssocParams{entries, assoc, {size}});
+}
+
+/**
  * The Haswell-style split L1: @p entries_4k 4-way 4KB entries, 32 ×
  * @p scale 4-way 2MB entries and 4 × @p scale fully-associative 1GB
  * entries. COLT variants coalesce in the 4KB (@p colt_4k) and 2MB
@@ -61,25 +77,12 @@ makeSplitL1(const std::string &name, stats::StatGroup *parent,
 {
     auto split = std::make_unique<SplitTlb>(name, parent);
     auto *group = &split->statGroup();
-    if (colt_4k) {
-        split->addComponent(std::make_unique<ColtTlb>(
-            "t4k", group, entries_4k, 4, PageSize::Size4K, 4));
-    } else {
-        split->addComponent(std::make_unique<SetAssocTlb>(
-            "t4k", group,
-            SetAssocParams{entries_4k, 4, {PageSize::Size4K}}));
-    }
-    if (colt_super) {
-        split->addComponent(std::make_unique<ColtTlb>(
-            "t2m", group, 32 * scale, 4, PageSize::Size2M, 4));
-    } else {
-        split->addComponent(std::make_unique<SetAssocTlb>(
-            "t2m", group,
-            SetAssocParams{32 * scale, 4, {PageSize::Size2M}}));
-    }
-    split->addComponent(std::make_unique<SetAssocTlb>(
-        "t1g", group,
-        SetAssocParams{4 * scale, 4 * scale, {PageSize::Size1G}}));
+    split->addComponent(makeComponent("t4k", group, entries_4k, 4,
+                                      PageSize::Size4K, colt_4k));
+    split->addComponent(makeComponent("t2m", group, 32 * scale, 4,
+                                      PageSize::Size2M, colt_super));
+    split->addComponent(makeComponent("t1g", group, 4 * scale, 4 * scale,
+                                      PageSize::Size1G, false));
     return split;
 }
 
@@ -96,36 +99,20 @@ makeSplitL2(const std::string &name, stats::StatGroup *parent,
             "t4k2m", group,
             SetAssocParams{512ULL * scale, 8,
                            {PageSize::Size4K, PageSize::Size2M}}));
-        split->addComponent(std::make_unique<SetAssocTlb>(
-            "t1g", group,
-            SetAssocParams{32 * scale, 4, {PageSize::Size1G}}));
+        split->addComponent(makeComponent("t1g", group, 32 * scale, 4,
+                                          PageSize::Size1G, false));
         return split;
     }
     // COLT variants need per-size components so each structure can
     // coalesce its own size. The Haswell L2 shares 512 entries between
     // 4KB and 2MB; the per-size stand-in splits that budget evenly so
     // neither size is starved relative to the baseline.
-    if (colt_4k) {
-        split->addComponent(std::make_unique<ColtTlb>(
-            "t4k", group, 256 * scale, 8, PageSize::Size4K, 4));
-    } else {
-        split->addComponent(std::make_unique<SetAssocTlb>(
-            "t4k", group,
-            SetAssocParams{256 * scale, 8, {PageSize::Size4K}}));
-    }
-    if (colt_super) {
-        split->addComponent(std::make_unique<ColtTlb>(
-            "t2m", group, 256 * scale, 8, PageSize::Size2M, 4));
-        split->addComponent(std::make_unique<ColtTlb>(
-            "t1g", group, 32 * scale, 4, PageSize::Size1G, 4));
-    } else {
-        split->addComponent(std::make_unique<SetAssocTlb>(
-            "t2m", group,
-            SetAssocParams{256 * scale, 8, {PageSize::Size2M}}));
-        split->addComponent(std::make_unique<SetAssocTlb>(
-            "t1g", group,
-            SetAssocParams{32 * scale, 4, {PageSize::Size1G}}));
-    }
+    split->addComponent(makeComponent("t4k", group, 256 * scale, 8,
+                                      PageSize::Size4K, colt_4k));
+    split->addComponent(makeComponent("t2m", group, 256 * scale, 8,
+                                      PageSize::Size2M, colt_super));
+    split->addComponent(makeComponent("t1g", group, 32 * scale, 4,
+                                      PageSize::Size1G, colt_super));
     return split;
 }
 

@@ -59,7 +59,7 @@ constexpr Attribution Attributed[] = {
 
 MultiMachine::ProcStats::ProcStats(unsigned index,
                                    stats::StatGroup *parent)
-    : group("p" + std::to_string(index), parent),
+    : group(std::string("p").append(std::to_string(index)), parent),
       slices(group.addCounter("slices", "scheduling slices executed"))
 {
     for (const Attribution &entry : Attributed)

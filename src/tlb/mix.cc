@@ -40,6 +40,20 @@ runAround(std::uint64_t map, unsigned slot, unsigned limit)
 
 } // anonymous namespace
 
+MixTlbParams
+coltParams(std::uint64_t entries, unsigned assoc, PageSize size,
+           unsigned window)
+{
+    MixTlbParams params;
+    params.entries = entries;
+    params.assoc = assoc;
+    params.mode = CoalesceMode::Bitmap;
+    params.sizes = {size};
+    (size == PageSize::Size4K ? params.colt4k : params.maxCoalesce) =
+        window;
+    return params;
+}
+
 MixTlb::MixTlb(const std::string &name, stats::StatGroup *parent,
                const MixTlbParams &params)
     : BaseTlb(name, parent), params_(params),
@@ -67,8 +81,35 @@ MixTlb::MixTlb(const std::string &name, stats::StatGroup *parent,
     if (params.mode == CoalesceMode::Bitmap && maxCoalesce_ > 64)
         maxCoalesce_ = 64; // a 64-bit map is the storage ceiling
     setMask_ = (numSets_ & (numSets_ - 1)) == 0 ? numSets_ - 1 : 0;
-    colt4kShift_ =
-        static_cast<unsigned>(std::countr_zero(params.colt4k));
+    MIX_EXPECT(!params.sizes.empty(), "MIX TLB with no page sizes");
+    for (PageSize size : params.sizes) {
+        bool &held = held_[static_cast<unsigned>(size)];
+        MIX_EXPECT(!held, "MIX TLB lists %s pages twice",
+                   pageSizeName(size));
+        held = true;
+    }
+    unsigned count = 0;
+    for (PageSize size : AllPageSizes) {
+        const auto s = static_cast<unsigned>(size);
+        group_[s] = size == PageSize::Size4K ? params.colt4k : maxCoalesce_;
+        span_[s] = std::uint64_t(group_[s]) << pageShift(size);
+        spanMask_[s] = isPowerOf2(span_[s]) ? ~(span_[s] - 1) : 0;
+        if (held_[s])
+            sizes_[count++] = size;
+    }
+    std::fill(sizes_ + count, std::end(sizes_), sizes_[count - 1]);
+    // One index granule holds a whole window of the smallest held size.
+    const PageSize smallest = sizes_[0];
+    MIX_EXPECT(isPowerOf2(groupSlots(smallest)),
+               "the %s window must be a power of two (got %u)",
+               pageSizeName(smallest), groupSlots(smallest));
+    indexShift_ = params.superpageIndexBits
+                      ? PageShift2M
+                      : pageShift(smallest) +
+                            static_cast<unsigned>(
+                                std::countr_zero(groupSlots(smallest)));
+    for (unsigned s = 0; s < NumPageSizes; s++)
+        mirrored_[s] = pageShift(static_cast<PageSize>(s)) > indexShift_;
     sets_.resize(numSets_);
     for (auto &set : sets_)
         set.reserve(params_.assoc + 1);
@@ -85,30 +126,18 @@ MixTlb::Entry::slotPresent(unsigned slot, CoalesceMode mode) const
 unsigned
 MixTlb::indexOf(VAddr vaddr) const
 {
-    const std::uint64_t index =
-        params_.superpageIndexBits
-            ? vaddr >> PageShift2M
-            : vaddr >> ((PageShift4K + colt4kShift_) & 63);
+    const std::uint64_t index = vaddr >> (indexShift_ & 63);
     if (setMask_)
         return static_cast<unsigned>(index & setMask_);
     return static_cast<unsigned>(index % numSets_);
 }
 
-unsigned
-MixTlb::groupSlots(PageSize size) const
-{
-    return size == PageSize::Size4K ? params_.colt4k : maxCoalesce_;
-}
-
 VAddr
 MixTlb::windowBase(VAddr vbase, PageSize size) const
 {
-    const std::uint64_t span = std::uint64_t(groupSlots(size))
-                               << pageShift(size);
     // Power-of-two spans mask; the 68-slot L2 windows take the modulo.
-    if (isPowerOf2(span))
-        return vbase & ~(span - 1);
-    return vbase - (vbase % span);
+    const auto s = static_cast<unsigned>(size);
+    return spanMask_[s] ? vbase & spanMask_[s] : vbase - vbase % span_[s];
 }
 
 bool
@@ -188,9 +217,9 @@ MixTlb::lookup(VAddr vaddr, bool is_store)
         // Windows are aligned, so a covering entry of size s anchors
         // at that size's window around vaddr: one candidate per size.
         std::uint64_t cands[NumPageSizes];
-        for (unsigned s = 0; s < NumPageSizes; ++s) {
-            const auto size = static_cast<PageSize>(s);
-            cands[s] = tagOf(windowBase(vaddr, size), size, asid_);
+        for (unsigned i = 0; i < NumPageSizes; ++i) {
+            const PageSize size = sizes_[i];
+            cands[i] = tagOf(windowBase(vaddr, size), size, asid_);
         }
         hit = set.findTagAny(cands, NumPageSizes, covers);
     }
@@ -251,18 +280,18 @@ MixTlb::buildEntry(const FillInfo &fill) const
     const auto leaf_slot =
         static_cast<unsigned>(shiftRight(leaf.vbase - entry.wbase, shift));
     entry.wpbase = leaf.pbase - shiftLeft(leaf_slot, shift);
-    entry.dirty = leaf.dirty;
 
     // Candidate membership per window slot, from the walk line and/or
     // an upper-level bundle. Slot 'leaf_slot' is always present.
     // The scratchpad is a 64-bit map: in length mode a window can hold
     // more than 64 slots, and anything past the map simply cannot be
     // coalesced by this fill (shifting past it used to be undefined).
-    const bool leaf_tracked = leaf_slot < 64;
+    // The leaf is a member of every entry it builds, tracked or not,
+    // so its own dirty bit is ANDed in at the end; all_dirty only
+    // clears the slots of clean coalesced members.
     const unsigned scratch = std::min(group, 64u);
-    std::uint64_t present = leaf_tracked ? pow2(leaf_slot) : 0;
-    std::uint64_t all_dirty =
-        leaf.dirty || !leaf_tracked ? ~0ULL : ~pow2(leaf_slot);
+    std::uint64_t present = leaf_slot < 64 ? pow2(leaf_slot) : 0;
+    std::uint64_t all_dirty = ~0ULL;
 
     if (fill.walk && !fill.walk->pageFault() &&
         fill.walk->lineGranularity == leaf.size) {
@@ -302,20 +331,13 @@ MixTlb::buildEntry(const FillInfo &fill) const
         const auto [lo, hi] = runAround(present, leaf_slot, group);
         entry.runStart = lo;
         entry.length = hi - lo + 1;
-        if (lo >= 64) {
-            // The run sits entirely past the scratchpad; only the
-            // demanded leaf is known.
-            entry.dirty = leaf.dirty;
-        } else {
-            const std::uint64_t run_mask =
-                entry.length >= 64 ? ~0ULL
-                                   : shiftLeft(pow2(entry.length) - 1, lo);
-            entry.dirty = (all_dirty & run_mask) == run_mask;
-        }
+        // A run entirely past the scratchpad is the leaf alone.
+        const std::uint64_t run_mask = lo < 64 ? slotRange(lo, hi + 1) : 0;
+        entry.dirty = leaf.dirty && (all_dirty & run_mask) == run_mask;
         entry.bitmap = 0;
     } else {
         entry.bitmap = present;
-        entry.dirty = (all_dirty & present) == present;
+        entry.dirty = leaf.dirty && (all_dirty & present) == present;
     }
     return entry;
 }
@@ -346,7 +368,7 @@ MixTlb::insertIntoSet(unsigned set_idx, const Entry &entry)
     if (set.size() > params_.assoc)
         set.popBack();
     ++fills_;
-    if (entry.size != PageSize::Size4K)
+    if (mirrored(entry.size))
         ++mirrorWrites_;
 }
 
@@ -361,7 +383,7 @@ MixTlb::blindInsert(unsigned set_idx, const Entry &entry)
     if (set.size() > params_.assoc)
         set.popBack();
     ++fills_;
-    if (entry.size != PageSize::Size4K)
+    if (mirrored(entry.size))
         ++mirrorWrites_;
 }
 
@@ -369,6 +391,8 @@ MixTlb::blindInsert(unsigned set_idx, const Entry &entry)
 void
 MixTlb::fill(const FillInfo &fill)
 {
+    MIX_EXPECT(supports(fill.leaf.size), "filling a %s translation into %s",
+               pageSizeName(fill.leaf.size), stats_.name().c_str());
     Entry entry = buildEntry(fill);
     MIX_AUDIT(groupSlots(entry.size) >= 64 ||
               (entry.bitmap >> groupSlots(entry.size)) == 0,
@@ -377,45 +401,31 @@ MixTlb::fill(const FillInfo &fill)
     const VAddr demanded = fill.vaddr ? fill.vaddr : fill.leaf.vbase;
     const unsigned probed = indexOf(demanded);
 
-    if (entry.size == PageSize::Size4K) {
-        // Small pages map to exactly one set (the window's pages share
-        // the index because the index drops log2(colt4k) bits).
+    if (!mirrored(entry.size)) {
+        // The page fits one index granule, so it maps to exactly one
+        // set: small pages (the window's pages share the index because
+        // it drops log2(colt4k) bits), every page of a lone COLT size,
+        // and 2MB pages under the superpage-index ablation (Sec. 3).
         insertIntoSet(probed, entry);
         return;
     }
 
-    if (!params_.superpageIndexBits) {
-        // Small-page index bits: each superpage spans at least
-        // 512 index values, so the bundle mirrors into every set.
-        //
-        // L1 (bitmap) fills follow Sec. 4.3 exactly: only the probed
-        // set merges into an existing bundle; the others are mirrored
-        // blindly and duplicates collapse on later probes. L2 (length)
-        // fills extend a matching bundle in every set — the "slightly
-        // more complex hardware" Sec. 4 grants the L2 level, and what
-        // lets coalescing grow to offset the full mirror count at L2
-        // reach (Sec. 4.2's extension of bundles across cache lines).
-        const bool merge_everywhere = params_.mode == CoalesceMode::Length;
-        for (unsigned s = 0; s < numSets_; s++) {
-            if (s == probed || merge_everywhere)
-                insertIntoSet(s, entry);
-            else
-                blindInsert(s, entry);
-        }
-        return;
-    }
-
-    // Ablation (Sec. 3): superpage index bits. A 2MB page maps to one
-    // set; a 1GB page still spans 512 2MB indices.
-    if (entry.size == PageSize::Size2M) {
-        insertIntoSet(indexOf(fill.leaf.vbase), entry);
-    } else {
-        for (unsigned s = 0; s < numSets_; s++) {
-            if (s == probed)
-                insertIntoSet(s, entry);
-            else
-                blindInsert(s, entry);
-        }
+    // A superpage spans many index values, so the bundle mirrors into
+    // every set.
+    //
+    // L1 (bitmap) fills follow Sec. 4.3 exactly: only the probed set
+    // merges into an existing bundle; the others are mirrored blindly
+    // and duplicates collapse on later probes. L2 (length) fills
+    // extend a matching bundle in every set — the "slightly more
+    // complex hardware" Sec. 4 grants the L2 level, and what lets
+    // coalescing grow to offset the full mirror count at L2 reach
+    // (Sec. 4.2's extension of bundles across cache lines).
+    const bool merge_everywhere = params_.mode == CoalesceMode::Length;
+    for (unsigned s = 0; s < numSets_; s++) {
+        if (s == probed || merge_everywhere)
+            insertIntoSet(s, entry);
+        else
+            blindInsert(s, entry);
     }
 }
 
@@ -515,15 +525,14 @@ MixTlb::markDirty(VAddr vaddr)
 {
     // Sec. 4.4: the bundle dirty bit may only be set when every
     // member is dirty; hardware only knows that for singletons.
-    bool superpage_covered = false;
-    bool small_covered = false;
+    bool mirror_covered = false;
+    bool single_covered = false;
     auto mark = [&](TagLaneSet<Entry> &set) {
         for (std::size_t i = 0; i < set.size(); ++i) {
             Entry &entry = set.payload(i);
             if (!entryCovers(entry, vaddr))
                 continue;
-            (entry.size == PageSize::Size4K ? small_covered
-                                            : superpage_covered) = true;
+            (mirrored(entry.size) ? mirror_covered : single_covered) = true;
             if (population(entry) == 1)
                 entry.dirty = true;
         }
@@ -535,9 +544,13 @@ MixTlb::markDirty(VAddr vaddr)
     // rides the same burst-write path as the fill, so stale mirrors in
     // non-probed sets are updated too. Otherwise a later probe of the
     // same superpage through another set hits a clean mirror and
-    // re-issues the dirty micro-op. Small pages live in exactly one
-    // set, so a pure small-page cover stops at the probed set.
-    if (small_covered && !superpage_covered)
+    // re-issues the dirty micro-op. Sizes that do not mirror live in
+    // exactly one set, so a cover of such a size alone, or an array
+    // that mirrors no size, stops at the probed set.
+    const bool any_mirrored =
+        std::any_of(std::begin(sizes_), std::end(sizes_),
+                    [&](PageSize size) { return mirrored(size); });
+    if (!any_mirrored || (single_covered && !mirror_covered))
         return;
     for (unsigned s = 0; s < numSets_; s++) {
         if (s != probed)
@@ -615,14 +628,19 @@ MixTlb::auditSets(contracts::AuditReport &report) const
                             s, (unsigned long long)entry.wpbase,
                             pageSizeName(entry.size));
 
-            // Small pages are never mirrored: the entry must sit in
-            // the one set its (window) index selects.
-            if (entry.size == PageSize::Size4K) {
-                MIX_AUDIT_CHECK(
-                    report, indexOf(entry.wbase) == s,
-                    "set %u: 4K window 0x%llx indexed to set %u", s,
-                    (unsigned long long)entry.wbase,
-                    indexOf(entry.wbase));
+            // A size that does not mirror sits in the one set its
+            // demanded page indexes, so some present page indexes here.
+            if (!mirrored(entry.size)) {
+                bool indexed = false;
+                for (unsigned slot = 0; slot < group && !indexed; slot++) {
+                    indexed = entry.slotPresent(slot, params_.mode) &&
+                              indexOf(entry.wbase + slot * page) == s;
+                }
+                MIX_AUDIT_CHECK(report, indexed,
+                                "set %u: %s window 0x%llx indexed to "
+                                "another set",
+                                s, pageSizeName(entry.size),
+                                (unsigned long long)entry.wbase);
                 continue;
             }
 

@@ -24,9 +24,20 @@
  *    update rides the fill path's burst write), so stale mirrors do
  *    not trigger repeat micro-ops when probed through another set.
  *
- * The class also implements two evaluated variants:
+ * The index drops the page-offset bits of the smallest held size plus
+ * log2 of its window, so a window of that size maps to one set; a fill
+ * mirrors into every set only when its page is larger than that index
+ * granule.
+ *
+ * The same class is every coalescing design of the evaluation:
  *  - colt4k > 1 adds COLT-style coalescing of contiguous small pages
  *    (the "MIX + COLT" design of Figure 18).
+ *  - Holding one page size makes it a COLT component (Pham et al.,
+ *    MICRO 2012; Sec. 5.2): a split TLB coalescing within that size
+ *    alone, its window colt4k (4KB) or maxCoalesce (superpages) pages.
+ *    A lone size never mirrors, so its fills always merge and the
+ *    Sec. 4.3 collapse never fires. COLT puts one in the 4KB slot of
+ *    a split TLB; COLT++ puts one in every slot (Figure 18).
  *  - superpageIndexBits = true switches the index to the 2MB page's
  *    bits (the rejected design discussed in Sec. 3).
  */
@@ -65,11 +76,21 @@ struct MixTlbParams
      * 4 = COLT). Capped at 64: membership lives in the 64-bit bitmap.
      */
     unsigned colt4k = 1;
+    /** Page sizes this array caches; one size is a COLT component. */
+    std::vector<PageSize> sizes{std::begin(AllPageSizes),
+                                std::end(AllPageSizes)};
     /** Ablation: index with 2MB-page bits instead of 4KB bits (Sec. 3). */
     bool superpageIndexBits = false;
     /** Ablation: drop the alignment restriction of Sec. 4.1. */
     bool alignmentRestricted = true;
 };
+
+/**
+ * A COLT component (Sec. 5.2): @p entries entries in @p assoc ways
+ * caching @p size alone, coalescing windows of @p window pages.
+ */
+MixTlbParams coltParams(std::uint64_t entries, unsigned assoc,
+                        PageSize size, unsigned window = 4);
 
 class MixTlb : public BaseTlb
 {
@@ -86,7 +107,11 @@ class MixTlb : public BaseTlb
     void invalidateAsid(Asid asid) override;
     void markDirty(VAddr vaddr) override;
 
-    bool supports(PageSize) const override { return true; }
+    bool
+    supports(PageSize size) const override
+    {
+        return held_[static_cast<unsigned>(size)];
+    }
     std::uint64_t numEntries() const override { return params_.entries; }
     unsigned numWays() const override { return params_.assoc; }
 
@@ -117,8 +142,8 @@ class MixTlb : public BaseTlb
      * mirror copies of one superpage window must agree on physical
      * anchor and permissions across sets, singleton mirrors must agree
      * on the dirty bit, membership must stay inside the aligned
-     * maxCoalesce (or colt4k) window, and small-page entries must live
-     * in the one set their index selects.
+     * maxCoalesce (or colt4k) window, and entries of sizes that do not
+     * mirror must live in a set one of their pages indexes.
      */
     void auditSets(contracts::AuditReport &report) const;
 
@@ -156,8 +181,22 @@ class MixTlb : public BaseTlb
     unsigned maxCoalesce_;
     /** Mask for power-of-two set counts; 0 selects the modulo path. */
     std::uint64_t setMask_;
-    /** log2(colt4k); colt4k is enforced to be a power of two. */
-    unsigned colt4kShift_;
+    /** The set index is `vaddr >> indexShift_` (then mask or modulo). */
+    unsigned indexShift_;
+    /**
+     * The held sizes, smallest first; unused slots repeat the largest,
+     * so every probe forms NumPageSizes candidate tags (a fixed count
+     * the lane scan unrolls).
+     */
+    PageSize sizes_[NumPageSizes] = {};
+    /** Per size: held, and fills mirrored into every set. */
+    bool held_[NumPageSizes] = {};
+    bool mirrored_[NumPageSizes] = {};
+    /** Per size: pages per coalescing window, its span in bytes, and
+     *  ~(span - 1) when the span is a power of two (else 0). */
+    unsigned group_[NumPageSizes] = {};
+    std::uint64_t span_[NumPageSizes] = {};
+    std::uint64_t spanMask_[NumPageSizes] = {};
 
     /**
      * Ctor-latched referenceScanEnabled(), forced on when the
@@ -194,11 +233,22 @@ class MixTlb : public BaseTlb
                asid;
     }
 
-    /** The set probed for @p vaddr (small-page or ablation indexing). */
+    /** The set probed for @p vaddr. */
     unsigned indexOf(VAddr vaddr) const;
 
     /** Pages per coalescing window for a given page size. */
-    unsigned groupSlots(PageSize size) const;
+    unsigned
+    groupSlots(PageSize size) const
+    {
+        return group_[static_cast<unsigned>(size)];
+    }
+
+    /** Are fills of @p size mirrored into every set? */
+    bool
+    mirrored(PageSize size) const
+    {
+        return mirrored_[static_cast<unsigned>(size)];
+    }
 
     /** Window base covering @p vbase for a page of @p size. */
     VAddr windowBase(VAddr vbase, PageSize size) const;

@@ -120,6 +120,13 @@ SplitTlb::replayLookup(const TlbLookup &result, std::uint64_t n)
     BaseTlb::replayLookup(result, n);
 }
 
+void
+SplitTlb::audit(contracts::AuditReport &report) const
+{
+    for (const auto &component : components_)
+        component->audit(report);
+}
+
 bool
 SplitTlb::supports(PageSize size) const
 {

@@ -49,6 +49,9 @@ class SplitTlb : public BaseTlb
     /** Replays the last lookup into every component, then self. */
     void replayLookup(const TlbLookup &result, std::uint64_t n = 1) override;
 
+    /** Audits every component (COLT components check their sets). */
+    void audit(contracts::AuditReport &report) const override;
+
   private:
     std::vector<std::unique_ptr<BaseTlb>> components_;
     /** Per-component results of the most recent lookup(). */

@@ -17,6 +17,7 @@
 #include "pt/walker.hh"
 #include "sim/machine.hh"
 #include "tlb/mix.hh"
+#include "tlb/split.hh"
 #include "workload/generator.hh"
 
 #include "mix_test_access.hh"
@@ -317,6 +318,33 @@ TEST_F(MixCorruptionFixture, StaleDirtyMirrorIsReported)
     EXPECT_FALSE(report.ok());
     EXPECT_TRUE(report.mentions("stale dirty mirror"))
         << report.summary();
+}
+
+TEST(ColtAudit, SplitAuditsItsColtComponents)
+{
+    // A COLT component is a MixTlb, and the split TLB holding it
+    // forwards audits, so a corrupt COLT entry fails the machine audit.
+    stats::StatGroup root("test");
+    tlb::SplitTlb split("split", &root);
+    auto &colt = static_cast<tlb::MixTlb &>(
+        split.addComponent(std::make_unique<tlb::MixTlb>(
+            "t4k", &root, tlb::coltParams(32, 4, PageSize::Size4K))));
+    tlb::FillInfo fill;
+    fill.leaf.vbase = 0x10000;
+    fill.leaf.pbase = 0x800000;
+    fill.leaf.size = PageSize::Size4K;
+    fill.leaf.accessed = true;
+    fill.vaddr = fill.leaf.vbase;
+    split.fill(fill);
+    contracts::AuditReport clean;
+    split.audit(clean);
+    EXPECT_TRUE(clean.ok()) << clean.summary();
+
+    // 8 sets indexed by vaddr >> 14: the window of 0x10000 is set 4.
+    tlb::MixTlbTestAccess::setBitmap(colt, 4, ~0ULL);
+    contracts::AuditReport report;
+    split.audit(report);
+    EXPECT_TRUE(report.mentions("membership bits")) << report.summary();
 }
 
 TEST(BuddyAudit, CleanAllocatorAuditsClean)

@@ -569,7 +569,7 @@ referenceBuildEntry(const MixTlbParams &params, unsigned max_coalesce,
             const std::uint64_t run_mask =
                 entry.length >= 64 ? ~0ULL
                                    : shiftLeft(pow2(entry.length) - 1, lo);
-            entry.dirty = (all_dirty & run_mask) == run_mask;
+            entry.dirty = leaf.dirty && (all_dirty & run_mask) == run_mask;
         }
     } else {
         entry.bitmap = present;
@@ -781,3 +781,49 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BundleGeometry> &info) {
         return std::string(info.param.name);
     });
+
+TEST(LengthWindow, CleanLeafPastScratchMapKeepsRunClean)
+{
+    // An L2 (Length) window has 68 slots, and the fill's scratch map
+    // tracks only slots 0-63. A clean leaf at slot 64 whose run reaches
+    // down into a dirty bundle at slots 60-63 is still a member of the
+    // run, so the run is clean: a dirty one would let a store to the
+    // leaf skip the micro-op that sets its D bit.
+    MixTlbParams params;
+    params.entries = 544;
+    params.assoc = 8;
+    params.mode = CoalesceMode::Length;
+    stats::StatGroup root("slot64");
+    MixTlb tlb("mix", &root, params);
+    ASSERT_EQ(tlb.maxCoalesce(), 68u);
+
+    const VAddr wbase = 68 * PageBytes2M;
+    const PAddr wpbase = 1 * GiB;
+    FillInfo fill;
+    fill.leaf.vbase = wbase + 64 * PageBytes2M;
+    fill.leaf.pbase = wpbase + 64 * PageBytes2M;
+    fill.leaf.size = PageSize::Size2M;
+    fill.leaf.accessed = true;
+    fill.leaf.dirty = false;
+    fill.vaddr = fill.leaf.vbase;
+    BundleInfo bundle;
+    bundle.vbase = wbase + 60 * PageBytes2M;
+    bundle.pbase = wpbase + 60 * PageBytes2M;
+    bundle.size = PageSize::Size2M;
+    bundle.count = 4;
+    bundle.perms = fill.leaf.perms;
+    bundle.dirty = true;
+    fill.bundle = bundle;
+
+    for (const Entry &entry :
+         {MixTlbTestAccess::buildEntry(tlb, fill),
+          referenceBuildEntry(params, tlb.maxCoalesce(), fill)}) {
+        EXPECT_EQ(entry.runStart, 60u);
+        EXPECT_EQ(entry.length, 5u);
+        EXPECT_FALSE(entry.dirty);
+    }
+    tlb.fill(fill);
+    const auto result = tlb.lookup(fill.leaf.vbase, true);
+    ASSERT_TRUE(result.hit);
+    EXPECT_FALSE(result.entryDirty);
+}

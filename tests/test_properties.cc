@@ -28,7 +28,6 @@
 #include "pt/page_table.hh"
 #include "pt/walker.hh"
 #include "sim/machine.hh"
-#include "tlb/colt.hh"
 #include "tlb/hierarchy.hh"
 #include "tlb/mix.hh"
 #include "tlb/set_assoc.hh"
@@ -91,8 +90,11 @@ struct Arena
 
 /**
  * Fuzz one TLB: random lookups; misses are walked and filled; every
- * hit must agree with the page table; random invalidations and
- * re-maps are thrown in.
+ * hit must agree with the page table, and a hit may claim its entry
+ * dirty only when the page's PTE is (a store trusting a dirty entry
+ * skips the micro-op that sets the D bit). A store hit on a clean
+ * entry runs that micro-op, as TlbHierarchy::dirtyMicroOp does.
+ * Random invalidations and re-maps are thrown in.
  */
 void
 fuzzAgainstPageTable(BaseTlb &tlb, Arena &arena, std::uint64_t seed,
@@ -108,6 +110,13 @@ fuzzAgainstPageTable(BaseTlb &tlb, Arena &arena, std::uint64_t seed,
         if (result.hit) {
             ASSERT_EQ(result.xlate.translate(va), truth->translate(va))
                 << std::hex << "va=0x" << va;
+            ASSERT_TRUE(!result.entryDirty || truth->dirty)
+                << std::hex << "clean PTE behind a dirty entry, va=0x"
+                << va;
+            if (store && !result.entryDirty) {
+                arena.table.setDirty(va);
+                tlb.markDirty(va);
+            }
         } else if (tlb.supports(truth->size)) {
             auto walk = arena.walker.walk(va, store);
             ASSERT_FALSE(walk.pageFault());
@@ -200,7 +209,7 @@ INSTANTIATE_TEST_SUITE_P(Assocs, MixSuperIndexProperty,
 namespace
 {
 
-/** All non-MIX designs behind the same fuzz. */
+/** The non-MIX designs and the COLT components behind the same fuzz. */
 enum class Family
 {
     Split,
@@ -209,6 +218,8 @@ enum class Family
     Skew,
     SkewPred,
     Colt4K,
+    Colt2M, ///< colt++'s L2 superpage components
+    Colt1G,
 };
 
 class FamilyProperty : public ::testing::TestWithParam<Family>
@@ -244,8 +255,14 @@ class FamilyProperty : public ::testing::TestWithParam<Family>
             return std::make_unique<SkewTlb>("t", root, params);
           }
           case Family::Colt4K:
-            return std::make_unique<ColtTlb>("t", root, 64, 4,
-                                             PageSize::Size4K, 4);
+            return std::make_unique<MixTlb>(
+                "t", root, coltParams(64, 4, PageSize::Size4K));
+          case Family::Colt2M:
+            return std::make_unique<MixTlb>(
+                "t", root, coltParams(256, 8, PageSize::Size2M));
+          case Family::Colt1G:
+            return std::make_unique<MixTlb>(
+                "t", root, coltParams(32, 4, PageSize::Size1G));
         }
         return nullptr;
     }
@@ -266,7 +283,9 @@ INSTANTIATE_TEST_SUITE_P(Designs, FamilyProperty,
                                            Family::HashRehashPred,
                                            Family::Skew,
                                            Family::SkewPred,
-                                           Family::Colt4K));
+                                           Family::Colt4K,
+                                           Family::Colt2M,
+                                           Family::Colt1G));
 
 namespace
 {

@@ -2,7 +2,8 @@
  * @file
  * Tests for the non-MIX TLB designs (the set-associative array as a
  * split component, fully associative and hash-rehash with prediction;
- * skew-associative, COLT, ideal) and the two-level TLB hierarchy.
+ * skew-associative, COLT components of the MIX array, ideal) and the
+ * two-level TLB hierarchy.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +20,6 @@
 #include "os/process.hh"
 #include "pt/page_table.hh"
 #include "pt/walker.hh"
-#include "tlb/colt.hh"
 #include "tlb/hierarchy.hh"
 #include "tlb/ideal.hh"
 #include "tlb/mix.hh"
@@ -344,7 +344,7 @@ TEST(Colt, CoalescesContiguousSmallPages)
                   PageSize::Size4K);
         walker.walk(0x10000 + i * PageBytes4K, false); // set A bits
     }
-    ColtTlb tlb("colt", &root, 32, 4, PageSize::Size4K, 4);
+    MixTlb tlb("colt", &root, coltParams(32, 4, PageSize::Size4K, 4));
     auto walk = walker.walk(0x10000, false);
     FillInfo fill;
     fill.leaf = *walk.leaf;
@@ -372,7 +372,7 @@ TEST(Colt, NonContiguousPagesDoNotCoalesce)
     table.map(0x10000, 0x800000, PageSize::Size4K);
     table.map(0x11000, 0x900000, PageSize::Size4K); // PA gap
     walker.walk(0x11000, false);
-    ColtTlb tlb("colt", &root, 32, 4, PageSize::Size4K, 4);
+    MixTlb tlb("colt", &root, coltParams(32, 4, PageSize::Size4K, 4));
     auto walk = walker.walk(0x10000, false);
     FillInfo fill;
     fill.leaf = *walk.leaf;
@@ -393,7 +393,7 @@ TEST(Colt, SuperpageVariantForColtPlusPlus)
                   PageSize::Size2M);
         walker.walk(0x00400000 + i * PageBytes2M, false);
     }
-    ColtTlb tlb("colt2m", &root, 8, 4, PageSize::Size2M, 2);
+    MixTlb tlb("colt2m", &root, coltParams(8, 4, PageSize::Size2M, 2));
     auto walk = walker.walk(0x00400000, false);
     FillInfo fill;
     fill.leaf = *walk.leaf;
@@ -639,7 +639,7 @@ TEST(Colt, FullWidthGroupCoalescesAcrossBitmapBoundary)
     // 32-page run must coalesce into one entry and every page must
     // hit — under UBSan this pins the bitmap shifts to defined forms.
     stats::StatGroup root("test");
-    ColtTlb tlb("colt32", &root, 32, 4, PageSize::Size4K, 32);
+    MixTlb tlb("colt32", &root, coltParams(32, 4, PageSize::Size4K, 32));
 
     // One 32-page VA/PA-contiguous window, filled in reverse so the
     // bundling scan crosses the slot-31 boundary in both directions.
@@ -770,8 +770,8 @@ makeAsidTlbs(stats::StatGroup &root)
     out.emplace_back("skew", std::make_unique<SkewTlb>(
                                  "skew", &root, SkewTlbParams{}));
     out.emplace_back("colt",
-                     std::make_unique<ColtTlb>("colt", &root, 64, 4,
-                                               PageSize::Size4K));
+                     std::make_unique<MixTlb>(
+                         "colt", &root, coltParams(64, 4, PageSize::Size4K)));
     out.emplace_back("mix", std::make_unique<MixTlb>("mix", &root,
                                                      MixTlbParams{}));
     auto split = std::make_unique<SplitTlb>("split", &root);
@@ -1001,7 +1001,7 @@ TEST(Colt, SmallInvalidateTrimsCoalescedRunMidway)
                   PageSize::Size4K);
         walker.walk(0x10000 + i * PageBytes4K, false);
     }
-    ColtTlb tlb("colt", &root, 32, 4, PageSize::Size4K, 4);
+    MixTlb tlb("colt", &root, coltParams(32, 4, PageSize::Size4K, 4));
     auto walk = walker.walk(0x10000, false);
     FillInfo fill;
     fill.leaf = *walk.leaf;
@@ -1032,7 +1032,7 @@ TEST(Colt, RangeInvalidatePartiallyOverlappingRun)
                   PageSize::Size2M);
         walker.walk(0x00400000 + i * PageBytes2M, false);
     }
-    ColtTlb tlb("colt2m", &root, 8, 4, PageSize::Size2M, 2);
+    MixTlb tlb("colt2m", &root, coltParams(8, 4, PageSize::Size2M, 2));
     auto walk = walker.walk(0x00400000, false);
     FillInfo fill;
     fill.leaf = *walk.leaf;
@@ -1046,6 +1046,23 @@ TEST(Colt, RangeInvalidatePartiallyOverlappingRun)
     EXPECT_TRUE(tlb.lookup(0x00400000, false).hit)
         << "trimming the run dropped the surviving superpage";
     EXPECT_FALSE(tlb.lookup(0x00600000, false).hit);
+}
+
+TEST(Colt, MarkDirtyLeavesOtherAnchorsClean)
+{
+    // Two singletons share one 4-page window but not its physical
+    // anchor. A dirty micro-op on the first must leave the second
+    // clean: a store to a page whose entry claims dirty skips its own
+    // micro-op, so the PTE's D bit would never be set.
+    stats::StatGroup root("test");
+    MixTlb tlb("colt", &root, coltParams(32, 4, PageSize::Size4K));
+    tlb.fill(simpleFill(xlate4k(0x10000, 0x800000)));
+    tlb.fill(simpleFill(xlate4k(0x11000, 0x900000)));
+    tlb.markDirty(0x10000);
+    EXPECT_TRUE(tlb.lookup(0x10000, true).entryDirty);
+    auto other = tlb.lookup(0x11000, true);
+    ASSERT_TRUE(other.hit);
+    EXPECT_FALSE(other.entryDirty);
 }
 
 namespace
@@ -1085,7 +1102,7 @@ TEST_P(ColtBundle, MatchesPerPageReference)
     for (int iter = 0; iter < 600; iter++) {
         SCOPED_TRACE(testing::Message() << "fill " << iter);
         stats::StatGroup root("colt");
-        ColtTlb tlb("colt", &root, 32, 4, size, group);
+        MixTlb tlb("colt", &root, coltParams(32, 4, size, group));
 
         const VAddr region = (1ULL << 44) + rng.nextBounded(1ULL << 40);
         const VAddr wbase = region - region % span;

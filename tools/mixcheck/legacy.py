@@ -1,4 +1,4 @@
-"""The three original tools/lint.py rules, ported as mixcheck checkers.
+"""The three original lint-script rules, ported as mixcheck checkers.
 
   raw-assert      no raw assert( / #include <cassert>; contracts
                   (MIX_EXPECT / MIX_AUDIT) are the only sanctioned
