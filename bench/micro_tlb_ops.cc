@@ -25,6 +25,7 @@
 #include "sim/configs.hh"
 #include "sim/machine.hh"
 #include "tlb/mix.hh"
+#include "tlb/set_assoc.hh"
 #include "virt/nested_walk.hh"
 #include "virt/vm.hh"
 
@@ -59,6 +60,45 @@ BM_MixTlbLookupHit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MixTlbLookupHit);
+
+/**
+ * Hits in a full single-size SetAssocTlb: Arg 0 is the 64-entry 4-way
+ * 4KB split component alone, Arg 1 the three-component split L1 (4KB,
+ * 2MB and 1GB, probed in turn) around it. 64 consecutive 4KB pages
+ * fill all 16 sets of the 4KB component; the lookups visit them in a
+ * fixed scrambled order, so a hit is at any way and moves to MRU.
+ */
+void
+BM_SetAssocLookupHit(benchmark::State &state)
+{
+    constexpr unsigned Pages = 64;
+    stats::StatGroup root("bm");
+    std::unique_ptr<tlb::BaseTlb> tlb;
+    if (state.range(0) == 0) {
+        tlb = std::make_unique<tlb::SetAssocTlb>(
+            "t4k", &root,
+            tlb::SetAssocParams{Pages, 4, {PageSize::Size4K}});
+    } else {
+        tlb = sim::makeCpuL1(sim::TlbDesign::Split, &root, nullptr);
+    }
+    const VAddr base = 1ULL << 32;
+    for (unsigned p = 0; p < Pages; p++) {
+        tlb::FillInfo fill;
+        fill.leaf.vbase = base + p * PageBytes4K;
+        fill.leaf.pbase = (1ULL << 30) + p * PageBytes4K;
+        fill.leaf.size = PageSize::Size4K;
+        fill.leaf.accessed = true;
+        tlb->fill(fill);
+    }
+    unsigned i = 0;
+    for (auto _ : state) {
+        // Stride 37 (coprime with 64) visits every page once per lap.
+        i = (i + 37) % Pages;
+        benchmark::DoNotOptimize(
+            tlb->lookup(base + i * PageBytes4K + 8, false));
+    }
+}
+BENCHMARK(BM_SetAssocLookupHit)->Arg(0)->Arg(1);
 
 void
 BM_MixTlbSuperpageFill(benchmark::State &state)
@@ -210,6 +250,10 @@ BM_NestedWalk(benchmark::State &state)
 }
 BENCHMARK(BM_NestedWalk);
 
+/**
+ * Full MMU accesses at random addresses of a warmed 256 MB THP arena,
+ * for each of the five designs perfbench runs.
+ */
 void
 BM_MachineAccess(benchmark::State &state)
 {
@@ -230,7 +274,10 @@ BM_MachineAccess(benchmark::State &state)
 }
 BENCHMARK(BM_MachineAccess)
     ->Arg(static_cast<int>(sim::TlbDesign::Split))
-    ->Arg(static_cast<int>(sim::TlbDesign::Mix));
+    ->Arg(static_cast<int>(sim::TlbDesign::Mix))
+    ->Arg(static_cast<int>(sim::TlbDesign::MixColt))
+    ->Arg(static_cast<int>(sim::TlbDesign::HashRehash))
+    ->Arg(static_cast<int>(sim::TlbDesign::Skew));
 
 /**
  * Memhog fragmenting 60% of a 2 GiB machine, as the gups-walk

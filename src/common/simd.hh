@@ -29,7 +29,7 @@
 namespace mixtlb::simd
 {
 
-/** Same sentinel as TagLaneSet::npos. */
+/** "No match"; TagLaneSet::npos is this same value. */
 inline constexpr std::size_t npos =
     std::numeric_limits<std::size_t>::max();
 

@@ -111,7 +111,7 @@ TlbHierarchy::dirtyMicroOp(VAddr vaddr)
 }
 
 void
-TlbHierarchy::oracleCheck(VAddr vaddr, PAddr paddr)
+TlbHierarchy::oracleCheck(VAddr vaddr, PAddr paddr, const TlbLookup *hit)
 {
     if (!source_.hasRefTranslate())
         return;
@@ -123,6 +123,22 @@ TlbHierarchy::oracleCheck(VAddr vaddr, PAddr paddr)
                (unsigned long long)vaddr, (unsigned long long)paddr,
                ref ? "" : "unmapped ",
                (unsigned long long)(ref ? *ref : 0));
+    if (!hit)
+        return;
+    const auto perms = source_.refPerms(vaddr);
+    MIX_EXPECT(!perms || *perms == hit->xlate.perms,
+               "differential oracle: TLB hit on 0x%llx carries other "
+               "permissions than the reference PTE",
+               (unsigned long long)vaddr);
+    // A dirty entry skips the store's dirty micro-op, so the PTE it
+    // stands for must already be dirty.
+    if (hit->entryDirty) {
+        const auto dirty = source_.refDirty(vaddr);
+        MIX_EXPECT(!dirty || *dirty,
+                   "differential oracle: TLB entry for 0x%llx is dirty "
+                   "but the reference PTE is clean",
+                   (unsigned long long)vaddr);
+    }
 }
 
 void
@@ -171,7 +187,7 @@ TlbHierarchy::accessImpl(VAddr vaddr, bool is_store)
                 result.l1Hit = true;
             }
             if (paranoia_ >= 2)
-                oracleCheck(vaddr, result.paddr);
+                oracleCheck(vaddr, result.paddr, &hit);
             translationCycles_ += result.cycles;
             return result;
         }
@@ -191,7 +207,7 @@ TlbHierarchy::accessImpl(VAddr vaddr, bool is_store)
         if (micro_op)
             result.cycles += dirtyMicroOp(vaddr);
         if (paranoia_ >= 2)
-            oracleCheck(vaddr, result.paddr);
+            oracleCheck(vaddr, result.paddr, &l1_result);
         translationCycles_ += result.cycles;
         if (filterOn_ && !micro_op &&
             l1_->replayable(l1_result, vaddr)) {
@@ -223,7 +239,7 @@ TlbHierarchy::accessImpl(VAddr vaddr, bool is_store)
         if (micro_op)
             result.cycles += dirtyMicroOp(vaddr);
         if (paranoia_ >= 2)
-            oracleCheck(vaddr, result.paddr);
+            oracleCheck(vaddr, result.paddr, &l2_result);
         translationCycles_ += result.cycles;
         // Arm only when a replay would repeat both levels exactly: no
         // L1 refill (it mutated L1), no micro-op, and an L2 exclusive
@@ -337,7 +353,7 @@ TlbHierarchy::translateBatch(std::span<const MemRef> refs,
                         const VAddr vaddr = refs[j].vaddr;
                         const PAddr paddr = hit.xlate.translate(vaddr);
                         if (paranoia_ >= 2)
-                            oracleCheck(vaddr, paddr);
+                            oracleCheck(vaddr, paddr, &hit);
                         if (charge_data) {
                             const bool is_store =
                                 refs[j].type == AccessType::Write;

@@ -71,6 +71,28 @@ class WalkSource
         (void)vaddr;
         return std::nullopt;
     }
+
+    /**
+     * The reference leaf PTE's dirty bit, read the same way as
+     * refTranslate(). At paranoia >= 2 a TLB hit whose entry is dirty
+     * must have a dirty reference PTE. nullopt: unmapped, or not
+     * implemented (the check is skipped).
+     */
+    virtual std::optional<bool> refDirty(VAddr vaddr)
+    {
+        (void)vaddr;
+        return std::nullopt;
+    }
+
+    /**
+     * The end-to-end permissions of the reference translation; a TLB
+     * hit must carry exactly these. nullopt as for refDirty().
+     */
+    virtual std::optional<pt::Perms> refPerms(VAddr vaddr)
+    {
+        (void)vaddr;
+        return std::nullopt;
+    }
 };
 
 /** Hit latencies of the two TLB levels, in cycles. */
@@ -273,8 +295,13 @@ class TlbHierarchy
     /** Issue the dirty-bit micro-op for a store to a clean entry. */
     Cycles dirtyMicroOp(VAddr vaddr);
 
-    /** Differential oracle: compare @p paddr against refTranslate(). */
-    void oracleCheck(VAddr vaddr, PAddr paddr);
+    /**
+     * Differential oracle: compare @p paddr against refTranslate(),
+     * and a TLB @p hit's permissions and entry dirty bit against
+     * refPerms() and refDirty().
+     */
+    void oracleCheck(VAddr vaddr, PAddr paddr,
+                     const TlbLookup *hit = nullptr);
 };
 
 } // namespace mixtlb::tlb

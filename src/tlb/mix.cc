@@ -110,9 +110,7 @@ MixTlb::MixTlb(const std::string &name, stats::StatGroup *parent,
                                 std::countr_zero(groupSlots(smallest)));
     for (unsigned s = 0; s < NumPageSizes; s++)
         mirrored_[s] = pageShift(static_cast<PageSize>(s)) > indexShift_;
-    sets_.resize(numSets_);
-    for (auto &set : sets_)
-        set.reserve(params_.assoc + 1);
+    sets_ = TagLaneStore<Entry>(numSets_, params_.assoc);
 }
 
 bool
@@ -205,7 +203,7 @@ MixTlb::lookup(VAddr vaddr, bool is_store)
     lastLookupMerged_ = false;
     TlbLookup result;
     result.waysRead = params_.assoc;
-    auto &set = sets_[indexOf(vaddr)];
+    auto set = sets_[indexOf(vaddr)];
 
     const auto covers = [&](const Entry &e) {
         return entryCovers(e, vaddr);
@@ -345,7 +343,7 @@ MixTlb::buildEntry(const FillInfo &fill) const
 void
 MixTlb::insertIntoSet(unsigned set_idx, const Entry &entry)
 {
-    auto &set = sets_[set_idx];
+    auto set = sets_[set_idx];
     // compatible() requires equal (wbase, size, asid), so a true match
     // shares the incoming entry's tag.
     const std::uint64_t tag = tagOf(entry.wbase, entry.size, entry.asid);
@@ -364,9 +362,7 @@ MixTlb::insertIntoSet(unsigned set_idx, const Entry &entry)
         ++coalesces_;
         return;
     }
-    set.insertFront(tag, entry);
-    if (set.size() > params_.assoc)
-        set.popBack();
+    set.insertFront(tag, entry); // a full set evicts its LRU way
     ++fills_;
     if (mirrored(entry.size))
         ++mirrorWrites_;
@@ -378,10 +374,8 @@ MixTlb::blindInsert(unsigned set_idx, const Entry &entry)
     // Sec. 4.3: non-probed sets are filled without checking for an
     // existing copy (scanning every set on fill would cost too much
     // energy); duplicates this creates collapse on a later probe.
-    auto &set = sets_[set_idx];
-    set.insertFront(tagOf(entry.wbase, entry.size, entry.asid), entry);
-    if (set.size() > params_.assoc)
-        set.popBack();
+    sets_[set_idx].insertFront(tagOf(entry.wbase, entry.size, entry.asid),
+                               entry);
     ++fills_;
     if (mirrored(entry.size))
         ++mirrorWrites_;
@@ -468,8 +462,8 @@ MixTlb::invalidate(VAddr vbase, PageSize size, Asid asid)
     // stale superpage must kill that superpage's mirrors — which live
     // in *every* set and evolve independently under per-set LRU, so
     // all sets are swept (shootdowns are off the hot lookup path).
-    for (auto &set : sets_) {
-        set.eraseIf([&](Entry &entry) {
+    for (unsigned s = 0; s < numSets_; s++) {
+        sets_[s].eraseIf([&](Entry &entry) {
             const unsigned shift = pageShift(entry.size);
             const unsigned slots = groupSlots(entry.size);
             const std::uint64_t span = std::uint64_t(slots)
@@ -508,16 +502,15 @@ void
 MixTlb::invalidateAll()
 {
     ++invalidations_;
-    for (auto &set : sets_)
-        set.clear();
+    sets_.clear();
 }
 
 void
 MixTlb::invalidateAsid(Asid asid)
 {
     ++invalidations_;
-    for (auto &set : sets_)
-        set.eraseIf([&](const Entry &e) { return e.asid == asid; });
+    for (unsigned s = 0; s < numSets_; s++)
+        sets_[s].eraseIf([&](const Entry &e) { return e.asid == asid; });
 }
 
 void
@@ -527,7 +520,7 @@ MixTlb::markDirty(VAddr vaddr)
     // member is dirty; hardware only knows that for singletons.
     bool mirror_covered = false;
     bool single_covered = false;
-    auto mark = [&](TagLaneSet<Entry> &set) {
+    auto mark = [&](TagLaneSet<Entry> set) {
         for (std::size_t i = 0; i < set.size(); ++i) {
             Entry &entry = set.payload(i);
             if (!entryCovers(entry, vaddr))
@@ -577,11 +570,12 @@ MixTlb::auditSets(contracts::AuditReport &report) const
         singletons;
 
     for (unsigned s = 0; s < numSets_; s++) {
-        const auto &set = sets_[s];
+        const auto set = sets_[s];
         MIX_AUDIT_CHECK(report, set.size() <= params_.assoc,
                         "set %u holds %zu entries but has %u ways", s,
                         set.size(), params_.assoc);
-        for (const Entry &entry : set.payloads()) {
+        for (std::size_t i = 0; i < set.size(); ++i) {
+            const Entry &entry = set.payload(i);
             const unsigned group = groupSlots(entry.size);
             const std::uint64_t page = pageBytes(entry.size);
             const std::uint64_t span = group * page;

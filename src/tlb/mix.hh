@@ -205,8 +205,10 @@ class MixTlb : public BaseTlb
      * so that configuration always scans with the full predicate.
      */
     bool referenceScan_;
-    /** Flat per-set SoA arrays, front = MRU. */
-    std::vector<TagLaneSet<Entry>> sets_;
+    /** Every set's tags in MRU order and its payloads in place, in
+     *  flat arrays sized at construction (tlb/tag_lane.hh). A mirror
+     *  fill writes one payload per set and shifts only tags. */
+    TagLaneStore<Entry> sets_;
 
     /** Did the most recent lookup() collapse any duplicate mirrors? */
     bool lastLookupMerged_ = false;

@@ -24,9 +24,7 @@ SetAssocTlb::SetAssocTlb(const std::string &name, stats::StatGroup *parent,
     numSets_ = entries_ / assoc_;
     maskSets_ = (numSets_ & (numSets_ - 1)) == 0;
     setMask_ = numSets_ - 1;
-    sets_.resize(numSets_);
-    for (auto &set : sets_)
-        set.reserve(assoc_ + 1);
+    sets_ = TagLaneStore<Entry>(numSets_, assoc_);
     if (params.usePredictor) {
         predictor_ = std::make_unique<SizePredictor>(
             "predictor", &stats_, params.predictorEntries);
@@ -34,7 +32,7 @@ SetAssocTlb::SetAssocTlb(const std::string &name, stats::StatGroup *parent,
 }
 
 std::size_t
-SetAssocTlb::find(TagLaneSet<Entry> &set, std::uint64_t vpn,
+SetAssocTlb::find(TagLaneSet<Entry> set, std::uint64_t vpn,
                   PageSize size) const
 {
     if (referenceScan_) {
@@ -72,7 +70,7 @@ SetAssocTlb::lookup(VAddr vaddr, bool is_store)
     while (!entry && probes < numSizes_) {
         const PageSize size = order[probes++];
         const std::uint64_t vpn = vpnOf(vaddr, size);
-        auto &set = setOf(vpn);
+        auto set = setOf(vpn);
         const std::size_t i = find(set, vpn, size);
         if (i != TagLaneSet<Entry>::npos) {
             set.rotateToFront(i); // move to MRU
@@ -104,7 +102,7 @@ SetAssocTlb::fill(const FillInfo &fill)
     panic_if(!supports(size), "TLB does not cache %s pages",
              pageSizeName(size));
     const std::uint64_t vpn = fill.leaf.vpn();
-    auto &set = setOf(vpn);
+    auto set = setOf(vpn);
     std::size_t i = find(set, vpn, size);
     if (i != TagLaneSet<Entry>::npos) {
         Entry &e = set.payload(i);
@@ -112,10 +110,9 @@ SetAssocTlb::fill(const FillInfo &fill)
         e.dirty = fill.leaf.dirty;
         set.rotateToFront(i); // move to MRU
     } else {
+        // A full set evicts its LRU way.
         set.insertFront(tagOf(vpn, size, asid_),
                         Entry{vpn, asid_, fill.leaf, fill.leaf.dirty});
-        if (set.size() > assoc_)
-            set.popBack();
         ++fills_;
     }
     if (predictor_) {
@@ -146,8 +143,8 @@ SetAssocTlb::invalidate(VAddr vbase, PageSize size, Asid asid)
     // (shootdowns are off the hot lookup path).
     const VAddr lo = vbase;
     const VAddr hi = vbase + pageBytes(size);
-    for (auto &set : sets_) {
-        set.eraseIf([&](const Entry &e) {
+    for (std::uint64_t s = 0; s < numSets_; ++s) {
+        sets_[s].eraseIf([&](const Entry &e) {
             const VAddr ebase = e.xlate.vbase;
             return e.xlate.size != size && e.asid == asid && ebase < hi &&
                    ebase + pageBytes(e.xlate.size) > lo;
@@ -159,16 +156,15 @@ void
 SetAssocTlb::invalidateAll()
 {
     ++invalidations_;
-    for (auto &set : sets_)
-        set.clear();
+    sets_.clear();
 }
 
 void
 SetAssocTlb::invalidateAsid(Asid asid)
 {
     ++invalidations_;
-    for (auto &set : sets_)
-        set.eraseIf([&](const Entry &e) { return e.asid == asid; });
+    for (std::uint64_t s = 0; s < numSets_; ++s)
+        sets_[s].eraseIf([&](const Entry &e) { return e.asid == asid; });
 }
 
 void
@@ -177,7 +173,7 @@ SetAssocTlb::markDirty(VAddr vaddr)
     for (unsigned s = 0; s < numSizes_; ++s) {
         const PageSize size = sizes_[s];
         const std::uint64_t vpn = vpnOf(vaddr, size);
-        auto &set = setOf(vpn);
+        const auto set = setOf(vpn);
         for (std::size_t i = 0; i < set.size(); ++i) {
             Entry &entry = set.payload(i);
             if (entry.vpn == vpn && entry.xlate.size == size &&

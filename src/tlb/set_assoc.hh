@@ -110,15 +110,14 @@ class SetAssocTlb final : public BaseTlb
     bool cached_[NumPageSizes] = {};
     /** Ctor-latched referenceScanEnabled(): full-predicate scans. */
     bool referenceScan_;
-    /** Per-set SoA ways in LRU order (front = MRU); each lane is
-     *  reserved to assoc + 1 at construction so the hot path never
-     *  reallocates. */
-    std::vector<TagLaneSet<Entry>> sets_;
+    /** Every set's tags in MRU order and its payloads in place, in
+     *  flat arrays sized at construction (tlb/tag_lane.hh). */
+    TagLaneStore<Entry> sets_;
     std::unique_ptr<SizePredictor> predictor_;
     /** Probe-order scratch of predictor lookups. */
     std::array<PageSize, NumPageSizes> probeOrder_{};
 
-    TagLaneSet<Entry> &
+    TagLaneSet<Entry>
     setOf(std::uint64_t vpn)
     {
         return sets_[maskSets_ ? vpn & setMask_ : vpn % numSets_];
@@ -138,7 +137,7 @@ class SetAssocTlb final : public BaseTlb
     }
 
     /** First way matching (vpn, size, active ASID), or npos. */
-    std::size_t find(TagLaneSet<Entry> &set, std::uint64_t vpn,
+    std::size_t find(TagLaneSet<Entry> set, std::uint64_t vpn,
                      PageSize size) const;
 
     /** The predicted size first, then the rest in order (in probeOrder_). */

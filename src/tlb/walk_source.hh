@@ -76,6 +76,24 @@ class NativeWalkSource : public WalkSource
         return xlate->translate(vaddr);
     }
 
+    std::optional<bool>
+    refDirty(VAddr vaddr) override
+    {
+        auto xlate = table_.translate(vaddr);
+        if (!xlate)
+            return std::nullopt;
+        return xlate->dirty;
+    }
+
+    std::optional<pt::Perms>
+    refPerms(VAddr vaddr) override
+    {
+        auto xlate = table_.translate(vaddr);
+        if (!xlate)
+            return std::nullopt;
+        return xlate->perms;
+    }
+
     pt::Walker &walker() { return walker_; }
 
   private:
@@ -176,6 +194,24 @@ class MultiWalkSource : public WalkSource
         if (!xlate)
             return std::nullopt;
         return xlate->translate(vaddr);
+    }
+
+    std::optional<bool>
+    refDirty(VAddr vaddr) override
+    {
+        auto xlate = procs_[current_].table->translate(vaddr);
+        if (!xlate)
+            return std::nullopt;
+        return xlate->dirty;
+    }
+
+    std::optional<pt::Perms>
+    refPerms(VAddr vaddr) override
+    {
+        auto xlate = procs_[current_].table->translate(vaddr);
+        if (!xlate)
+            return std::nullopt;
+        return xlate->perms;
     }
 
     pt::Walker &walker() { return *walker_; }

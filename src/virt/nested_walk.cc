@@ -223,4 +223,25 @@ NestedWalkSource::refTranslate(VAddr gva)
     return vm_.hostPhysIfMapped(guest->translate(gva));
 }
 
+std::optional<bool>
+NestedWalkSource::refDirty(VAddr gva)
+{
+    auto guest = guestProc_.pageTable().translate(gva);
+    if (!guest)
+        return std::nullopt;
+    return guest->dirty;
+}
+
+std::optional<pt::Perms>
+NestedWalkSource::refPerms(VAddr gva)
+{
+    auto guest = guestProc_.pageTable().translate(gva);
+    if (!guest)
+        return std::nullopt;
+    auto host = vm_.ept().translate(vm_.eptHva(guest->translate(gva)));
+    if (!host)
+        return std::nullopt;
+    return effectiveLeaf(gva, *guest, *host, vm_.eptHva(0)).perms;
+}
+
 } // namespace mixtlb::virt

@@ -49,6 +49,12 @@ class NestedWalkSource : public tlb::WalkSource
      */
     std::optional<PAddr> refTranslate(VAddr gva) override;
 
+    /** The guest leaf PTE's dirty bit (the bit setDirty() sets). */
+    std::optional<bool> refDirty(VAddr gva) override;
+
+    /** Guest and EPT leaf permissions intersected, as a walk does. */
+    std::optional<pt::Perms> refPerms(VAddr gva) override;
+
   private:
     Vm &vm_;
     os::Process &guestProc_;

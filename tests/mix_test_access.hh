@@ -17,22 +17,31 @@ struct MixTlbTestAccess
 {
     using Entry = MixTlb::Entry;
 
+    /** The MRU entry of set @p set. */
+    static Entry &
+    front(MixTlb &tlb, unsigned set)
+    {
+        panic_if(set >= tlb.numSets() || tlb.sets_[set].empty(),
+                 "no front entry in set %u", set);
+        return tlb.sets_[set].payload(0);
+    }
+
     static void
     shiftAnchor(MixTlb &tlb, unsigned set, std::uint64_t delta)
     {
-        tlb.sets_.at(set).payload(0).wpbase += delta;
+        front(tlb, set).wpbase += delta;
     }
 
     static void
     setBitmap(MixTlb &tlb, unsigned set, std::uint64_t bitmap)
     {
-        tlb.sets_.at(set).payload(0).bitmap = bitmap;
+        front(tlb, set).bitmap = bitmap;
     }
 
     static void
     setDirtyFlag(MixTlb &tlb, unsigned set, bool dirty)
     {
-        tlb.sets_.at(set).payload(0).dirty = dirty;
+        front(tlb, set).dirty = dirty;
     }
 
     /** The entry MixTlb::fill would build for @p fill. */

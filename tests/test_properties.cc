@@ -615,7 +615,8 @@ TEST(TagLaneSetProperty, ResumesPastFailedConfirms)
 {
     Rng rng(0x51D3);
     for (int iter = 0; iter < 1000; ++iter) {
-        TagLaneSet<std::uint64_t> set;
+        TagLaneStore<std::uint64_t> store(1, 66);
+        auto set = store[0];
         const std::size_t n = rng.nextBounded(66);
         std::uint64_t pool[3];
         for (auto &p : pool)
@@ -649,6 +650,88 @@ TEST(TagLaneSetProperty, ResumesPastFailedConfirms)
             }
         }
         ASSERT_EQ(set.findTagAny(cands, 2, confirm), want_any);
+    }
+}
+
+/**
+ * TagLaneStore against a reference MRU list (a std::vector, front =
+ * MRU, capped at the way count) under seeded random inserts into
+ * non-full and full sets, rotates, erases, stable eraseIf and clears,
+ * for every way count 1..66. After every op each set matches its
+ * reference position by position, no payload slot is live at two
+ * positions, and a hit or fill leaves every payload where it was: a
+ * rotate keeps the entry's slot, and a fill into a full set takes the
+ * evicted LRU entry's slot.
+ */
+TEST(TagLaneStoreProperty, MatchesReferenceMruList)
+{
+    using Ref = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+    Rng rng(0x57A7E);
+    constexpr unsigned Sets = 3;
+    for (unsigned ways = 1; ways <= 66; ++ways) {
+        TagLaneStore<std::uint64_t> store(Sets, ways);
+        std::vector<Ref> refs(Sets);
+        for (int op = 0; op < 400; ++op) {
+            const unsigned s = static_cast<unsigned>(rng.nextBounded(Sets));
+            auto set = store[s];
+            Ref &ref = refs[s];
+            const std::size_t n = ref.size();
+            const unsigned kind = static_cast<unsigned>(rng.nextBounded(16));
+            if (kind < 8 || n == 0) {
+                const std::uint64_t tag = rng.nextBounded(8);
+                const std::uint64_t payload = rng.next();
+                const std::uint64_t *lru =
+                    n == ways ? &set.payload(n - 1) : nullptr;
+                set.insertFront(tag, payload);
+                ref.insert(ref.begin(), {tag, payload});
+                if (ref.size() > ways)
+                    ref.pop_back();
+                if (lru) {
+                    ASSERT_EQ(&set.payload(0), lru) << "full-set fill";
+                }
+            } else if (kind < 12) {
+                const std::size_t i = rng.nextBounded(n);
+                const std::uint64_t *moved = &set.payload(i);
+                set.rotateToFront(i);
+                std::rotate(ref.begin(), ref.begin() + i,
+                            ref.begin() + i + 1);
+                ASSERT_EQ(&set.payload(0), moved) << "rotate";
+            } else if (kind < 14) {
+                const std::size_t i = rng.nextBounded(n);
+                set.eraseAt(i);
+                ref.erase(ref.begin() + i);
+            } else if (kind < 15) {
+                const std::uint64_t mod = 2 + rng.nextBounded(3);
+                const auto pred = [&](const std::uint64_t &p) {
+                    return p % mod == 0;
+                };
+                const std::size_t removed = set.eraseIf(pred);
+                const std::size_t before = ref.size();
+                std::erase_if(ref, [&](const auto &e) {
+                    return pred(e.second);
+                });
+                ASSERT_EQ(removed, before - ref.size());
+            } else {
+                set.clear();
+                ref.clear();
+            }
+            for (unsigned t = 0; t < Sets; ++t) {
+                const auto check = store[t];
+                const Ref &want = refs[t];
+                ASSERT_EQ(check.size(), want.size())
+                    << "ways " << ways << " op " << op << " set " << t;
+                std::vector<const std::uint64_t *> live;
+                for (std::size_t i = 0; i < want.size(); ++i) {
+                    ASSERT_EQ(check.tag(i), want[i].first);
+                    ASSERT_EQ(check.payload(i), want[i].second);
+                    live.push_back(&check.payload(i));
+                }
+                std::sort(live.begin(), live.end());
+                ASSERT_EQ(std::adjacent_find(live.begin(), live.end()),
+                          live.end())
+                    << "a payload slot is live at two positions";
+            }
+        }
     }
 }
 

@@ -14,6 +14,7 @@
 #include <new>
 
 #include "cache/cache.hh"
+#include "common/contracts.hh"
 #include "common/random.hh"
 #include "mem/phys_mem.hh"
 #include "os/memory_manager.hh"
@@ -515,6 +516,30 @@ TEST_F(HierarchyFixture, L2HitRefillsL1WithBundle)
     EXPECT_TRUE(again.l1Hit);
 }
 
+using HierarchyDeathTest = HierarchyFixture;
+
+// A dirty entry over a clean PTE would skip a store's dirty micro-op:
+// the paranoia-2 oracle flags the first hit on it.
+TEST_F(HierarchyDeathTest, OracleFlagsDirtyEntryOverCleanPte)
+{
+    auto hier = makeMixHierarchy();
+    const VAddr base = proc.mmap(64 * MiB);
+    hier->access(base, false); // a load leaves the PTE clean
+    FillInfo lie;
+    lie.leaf = *proc.pageTable().translate(base);
+    ASSERT_FALSE(lie.leaf.dirty);
+    lie.leaf.dirty = true;
+    hier->l1().invalidateAll();
+    hier->l1().fill(lie);
+    EXPECT_EXIT(
+        {
+            contracts::setParanoia(2);
+            hier->access(base + 64, false);
+        },
+        ::testing::ExitedWithCode(1),
+        "dirty but the reference PTE is clean");
+}
+
 TEST_F(HierarchyFixture, StoreToCleanEntryIssuesDirtyMicroOp)
 {
     auto hier = makeMixHierarchy();
@@ -675,6 +700,15 @@ TEST(SkewDeathTest, ZeroWaysDies)
     params.waysPerSize[2] = 0;
     EXPECT_EXIT(SkewTlb("skew", &root, params),
                 ::testing::ExitedWithCode(1), "zero ways");
+}
+
+TEST(SetAssocDeathTest, MoreThan255WaysDies)
+{
+    // Payload slot indices and per-set live counts are bytes.
+    stats::StatGroup root("test");
+    EXPECT_EXIT(SetAssocTlb("fa", &root,
+                            SetAssocParams{256, 256, {PageSize::Size4K}}),
+                ::testing::ExitedWithCode(1), "1 to 255 ways");
 }
 
 TEST(Skew, LookupHotPathIsAllocationFree)

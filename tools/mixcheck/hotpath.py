@@ -9,13 +9,14 @@ every same-file / companion-header function it calls -- and flags
 declared as an InlineVec (or other fixed-capacity type), and local
 construction of std::vector / std::list / std::deque / std::string.
 
-std::vector::insert on a reserved set (the sanctioned MRU pattern from
-set_assoc.cc) is deliberately allowed: capacity is reserved at
-construction, so steady-state inserts never allocate.
+std::vector::insert is not flagged. The TLB sets themselves no longer
+use it: every set-associative design keeps its sets in one flat
+TagLaneStore (tlb/tag_lane.hh) sized at construction, whose fills shift
+tags within a set and reuse the evicted way's payload slot.
 
 The hot-path-scan rule (PR 9) additionally flags linear `std::find_if`
 entry scans inside hot functions: the repo's probe loops moved to
-TagLaneSet's packed tag lanes, so a find_if over full entry structs on
+TagLaneStore's packed tag lanes, so a find_if over full entry structs on
 the hot path is either a regression or an unconverted design. The
 sanctioned scans — TagLaneSet's own lanes, or a deliberate reference
 fallback — are annotated `// mixcheck: soa-scan` within the 3 lines
