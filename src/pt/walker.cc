@@ -91,35 +91,6 @@ Walker::walkLeaf(VAddr vaddr, bool is_store,
     return pte::decodeLeaf(leaf->raw, pageBase(vaddr, size), size);
 }
 
-std::optional<WalkResult>
-Walker::readLeafLine(VAddr vaddr, bool is_store)
-{
-    // A functional probe to find the leaf, then one line read. The MMU
-    // charges only the single line access this returns.
-    auto pte_addr = table_->leafPteAddr(vaddr);
-    if (!pte_addr)
-        return std::nullopt;
-
-    auto &mem = table_->mem();
-    std::uint64_t raw = mem.read64(*pte_addr);
-    std::uint64_t updated = raw | pte::A;
-    if (is_store) {
-        updated |= pte::D;
-        if (!pte::dirty(raw))
-            ++dirtyUpdates_;
-    }
-    if (updated != raw)
-        mem.write64(*pte_addr, updated);
-
-    auto xlate = table_->translate(vaddr);
-    panic_if(!xlate, "leafPteAddr/translate disagree");
-    WalkResult result;
-    result.accesses.push_back(alignDown(*pte_addr, CacheLineBytes));
-    ++memAccesses_;
-    fillLine(vaddr, *pte_addr, leafLevel(xlate->size), result);
-    return result;
-}
-
 void
 Walker::fillLine(VAddr vaddr, PAddr pte_addr, unsigned level,
                  WalkResult &result)

@@ -119,14 +119,6 @@ class Walker
     walkLeaf(VAddr vaddr, bool is_store,
              InlineVec<PAddr, MaxWalkAccesses> &accesses);
 
-    /**
-     * Re-read the cache line holding the leaf PTE of @p vaddr without a
-     * full walk. Used when a MIX TLB extends an existing coalesced
-     * bundle with newly demanded neighbours (Sec. 4.2, "capacity
-     * strategies"). Returns nullopt if @p vaddr is unmapped.
-     */
-    std::optional<WalkResult> readLeafLine(VAddr vaddr, bool is_store);
-
     stats::StatGroup &statGroup() { return stats_; }
 
     /** The MMU's paging-structure cache (may be disabled). */

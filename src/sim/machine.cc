@@ -54,6 +54,10 @@ VirtMachine::VirtMachine(const VirtMachineParams &params)
                   params.design, true, false)
 {
     fatal_if(params.numVms == 0, "virtual machine count is zero");
+    // IdealTlb translates from the page table it is built over; here
+    // that is the guest's, so it would return guest-physical addresses.
+    fatal_if(params.design == TlbDesign::Ideal,
+             "the ideal TLB cannot run in a virtual machine");
     std::uint64_t vm_bytes = params.vmMemBytes
                                  ? params.vmMemBytes
                                  : params.hostMemBytes / params.numVms;

@@ -89,31 +89,13 @@ class SweepRunner
      * Run @p body for every index in [0, count) concurrently and
      * return the results indexed by grid position. @p body must be
      * safe to call from multiple threads for distinct indices.
-     */
-    template <typename Result>
-    std::vector<Result>
-    run(std::size_t count,
-        const std::function<Result(std::size_t)> &body) const
-    {
-        std::vector<Result> results(count);
-        if (count == 0)
-            return results;
-        ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(jobs_, count)));
-        for (std::size_t i = 0; i < count; i++)
-            pool.submit([&, i] { results[i] = body(i); });
-        pool.wait();
-        return results;
-    }
-
-    /**
-     * The resilient variant of run(): every point executes under a
-     * per-point FaultScope (seeded by @p seed_of, so the fault
-     * schedule is independent of scheduling order), failures are
-     * caught and recorded instead of killing the process, failing
-     * points get params.retries additional attempts with the *same*
-     * seed, and a nonzero params.deadlineSeconds arms the cooperative
-     * watchdog the simulation loops poll.
+     *
+     * Every point executes under a per-point FaultScope (seeded by
+     * @p seed_of, so the fault schedule is independent of scheduling
+     * order), failures are caught and recorded instead of killing the
+     * process, failing points get params.retries additional attempts
+     * with the *same* seed, and a nonzero params.deadlineSeconds arms
+     * the cooperative watchdog the simulation loops poll.
      *
      * @param statuses resized to @p count; statuses[i] describes
      *        point i's outcome.

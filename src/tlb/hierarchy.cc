@@ -125,20 +125,19 @@ TlbHierarchy::oracleCheck(VAddr vaddr, PAddr paddr, const TlbLookup *hit)
                (unsigned long long)(ref ? *ref : 0));
     if (!hit)
         return;
-    const auto perms = source_.refPerms(vaddr);
-    MIX_EXPECT(!perms || *perms == hit->xlate.perms,
+    const auto leaf = source_.refLeaf(vaddr);
+    if (!leaf)
+        return;
+    MIX_EXPECT(leaf->perms == hit->xlate.perms,
                "differential oracle: TLB hit on 0x%llx carries other "
                "permissions than the reference PTE",
                (unsigned long long)vaddr);
     // A dirty entry skips the store's dirty micro-op, so the PTE it
     // stands for must already be dirty.
-    if (hit->entryDirty) {
-        const auto dirty = source_.refDirty(vaddr);
-        MIX_EXPECT(!dirty || *dirty,
-                   "differential oracle: TLB entry for 0x%llx is dirty "
-                   "but the reference PTE is clean",
-                   (unsigned long long)vaddr);
-    }
+    MIX_EXPECT(!hit->entryDirty || leaf->dirty,
+               "differential oracle: TLB entry for 0x%llx is dirty "
+               "but the reference PTE is clean",
+               (unsigned long long)vaddr);
 }
 
 void

@@ -56,42 +56,35 @@ class WalkSource
     /** Drop walker-side cache state tagged @p asid (process exit). */
     virtual void invalidateAsid(Asid asid) { (void)asid; }
 
-    /** True when refTranslate() is implemented (oracle available). */
+    /** True when refLeaf() is implemented (oracle available). */
     virtual bool hasRefTranslate() const { return false; }
 
     /**
-     * Reference translation for the differential oracle: a functional,
+     * Reference leaf for the differential oracle: a functional,
      * side-effect-free map walk that bypasses every TLB and walker
-     * cache. At paranoia >= 2 the hierarchy cross-checks each
-     * successful access() against this.
-     * @return the full physical byte address, or nullopt if unmapped.
+     * cache, returning the end-to-end translation — its physical base,
+     * permissions and dirty bit. At paranoia >= 2 the hierarchy
+     * cross-checks each successful access() against it: a hit must
+     * carry exactly these permissions, and a dirty entry must stand for
+     * a dirty PTE. nullopt: unmapped, or not implemented.
      */
-    virtual std::optional<PAddr> refTranslate(VAddr vaddr)
+    virtual std::optional<pt::Translation> refLeaf(VAddr vaddr)
     {
         (void)vaddr;
         return std::nullopt;
     }
 
     /**
-     * The reference leaf PTE's dirty bit, read the same way as
-     * refTranslate(). At paranoia >= 2 a TLB hit whose entry is dirty
-     * must have a dirty reference PTE. nullopt: unmapped, or not
-     * implemented (the check is skipped).
+     * The reference physical byte address of @p vaddr (refLeaf()'s
+     * translation), or nullopt if unmapped.
      */
-    virtual std::optional<bool> refDirty(VAddr vaddr)
+    virtual std::optional<PAddr>
+    refTranslate(VAddr vaddr)
     {
-        (void)vaddr;
-        return std::nullopt;
-    }
-
-    /**
-     * The end-to-end permissions of the reference translation; a TLB
-     * hit must carry exactly these. nullopt as for refDirty().
-     */
-    virtual std::optional<pt::Perms> refPerms(VAddr vaddr)
-    {
-        (void)vaddr;
-        return std::nullopt;
+        auto leaf = refLeaf(vaddr);
+        if (!leaf)
+            return std::nullopt;
+        return leaf->translate(vaddr);
     }
 };
 
@@ -297,8 +290,8 @@ class TlbHierarchy
 
     /**
      * Differential oracle: compare @p paddr against refTranslate(),
-     * and a TLB @p hit's permissions and entry dirty bit against
-     * refPerms() and refDirty().
+     * and a TLB @p hit's permissions and entry dirty bit against one
+     * refLeaf().
      */
     void oracleCheck(VAddr vaddr, PAddr paddr,
                      const TlbLookup *hit = nullptr);

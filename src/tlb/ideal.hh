@@ -57,8 +57,9 @@ class IdealTlb : public BaseTlb
             if (xlate) {
                 result.hit = true;
                 result.xlate = *xlate;
-                // Never pay dirty micro-ops: the no-overhead bound.
-                result.entryDirty = true;
+                // The PTE's own bit: a store to a clean page still
+                // issues the dirty micro-op that sets it.
+                result.entryDirty = xlate->dirty;
             }
         }
         recordLookup(result);

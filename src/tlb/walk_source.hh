@@ -1,16 +1,17 @@
 /**
  * @file
- * The native (non-virtualized) WalkSource: a hardware walker over one
- * process's page table, with page faults delegated to a handler (the
- * OS's Process::touch in practice) — plus the multiprogrammed variant
- * sharing one walker/PWC across several processes.
+ * The native (non-virtualized) WalkSource: a hardware walker shared by
+ * one or more processes, each with its own page table and fault
+ * handler (the OS's Process::touch in practice). A single-process
+ * machine (native or GPU) holds one; a multiprogrammed machine holds
+ * several and context-switches between them.
  */
 
 #ifndef MIXTLB_TLB_WALK_SOURCE_HH
 #define MIXTLB_TLB_WALK_SOURCE_HH
 
 #include <functional>
-#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -22,97 +23,18 @@
 namespace mixtlb::tlb
 {
 
-class NativeWalkSource : public WalkSource
-{
-  public:
-    /** Fault handler returns false when the fault cannot be serviced. */
-    using FaultHandler = std::function<bool(VAddr, bool)>;
-
-    NativeWalkSource(pt::PageTable &table, stats::StatGroup *parent,
-                     FaultHandler fault_handler, unsigned scan_lines = 1,
-                     pt::PwcParams pwc = {})
-        : table_(table), walker_(table, parent, scan_lines, pwc),
-          faultHandler_(std::move(fault_handler))
-    {}
-
-    pt::WalkResult
-    walk(VAddr vaddr, bool is_store) override
-    {
-        return walker_.walk(vaddr, is_store);
-    }
-
-    bool
-    fault(VAddr vaddr, bool is_store) override
-    {
-        return faultHandler_ && faultHandler_(vaddr, is_store);
-    }
-
-    std::optional<PAddr>
-    leafPteAddr(VAddr vaddr) override
-    {
-        return table_.leafPteAddr(vaddr);
-    }
-
-    void
-    setDirty(VAddr vaddr) override
-    {
-        table_.setDirty(vaddr);
-    }
-
-    void
-    invalidate(VAddr vbase, PageSize size) override
-    {
-        walker_.pwc().invalidate(vbase, size);
-    }
-
-    bool hasRefTranslate() const override { return true; }
-
-    std::optional<PAddr>
-    refTranslate(VAddr vaddr) override
-    {
-        auto xlate = table_.translate(vaddr);
-        if (!xlate)
-            return std::nullopt;
-        return xlate->translate(vaddr);
-    }
-
-    std::optional<bool>
-    refDirty(VAddr vaddr) override
-    {
-        auto xlate = table_.translate(vaddr);
-        if (!xlate)
-            return std::nullopt;
-        return xlate->dirty;
-    }
-
-    std::optional<pt::Perms>
-    refPerms(VAddr vaddr) override
-    {
-        auto xlate = table_.translate(vaddr);
-        if (!xlate)
-            return std::nullopt;
-        return xlate->perms;
-    }
-
-    pt::Walker &walker() { return walker_; }
-
-  private:
-    pt::PageTable &table_;
-    pt::Walker walker_;
-    FaultHandler faultHandler_;
-};
-
 /**
  * A WalkSource multiplexing one hardware walker (and its ASID-tagged
- * PWC) across several processes, each with its own page table and
- * fault handler — the MMU of a multiprogrammed machine. switchTo() is
- * the CR3 write of a context switch: it retargets the walker and sets
- * the PWC's active ASID without flushing anything; callers modelling
- * an untagged baseline flush explicitly via flushTranslationCaches().
+ * PWC) across several processes — the MMU of a multiprogrammed
+ * machine. switchTo() is the CR3 write of a context switch: it
+ * retargets the walker and sets the PWC's active ASID without flushing
+ * anything; callers modelling an untagged baseline flush explicitly via
+ * flushTranslationCaches().
  */
 class MultiWalkSource : public WalkSource
 {
   public:
+    /** Fault handler returns false when the fault cannot be serviced. */
     using FaultHandler = std::function<bool(VAddr, bool)>;
 
     MultiWalkSource(stats::StatGroup *parent, unsigned scan_lines = 1,
@@ -125,10 +47,8 @@ class MultiWalkSource : public WalkSource
     addProcess(pt::PageTable &table, FaultHandler fault_handler)
     {
         procs_.push_back({&table, std::move(fault_handler)});
-        if (!walker_) {
-            walker_ = std::make_unique<pt::Walker>(
-                table, parent_, scanLines_, pwcParams_);
-        }
+        if (!walker_)
+            walker_.emplace(table, parent_, scanLines_, pwcParams_);
         return static_cast<unsigned>(procs_.size() - 1);
     }
 
@@ -187,35 +107,11 @@ class MultiWalkSource : public WalkSource
 
     bool hasRefTranslate() const override { return true; }
 
-    std::optional<PAddr>
-    refTranslate(VAddr vaddr) override
+    std::optional<pt::Translation>
+    refLeaf(VAddr vaddr) override
     {
-        auto xlate = procs_[current_].table->translate(vaddr);
-        if (!xlate)
-            return std::nullopt;
-        return xlate->translate(vaddr);
+        return procs_[current_].table->translate(vaddr);
     }
-
-    std::optional<bool>
-    refDirty(VAddr vaddr) override
-    {
-        auto xlate = procs_[current_].table->translate(vaddr);
-        if (!xlate)
-            return std::nullopt;
-        return xlate->dirty;
-    }
-
-    std::optional<pt::Perms>
-    refPerms(VAddr vaddr) override
-    {
-        auto xlate = procs_[current_].table->translate(vaddr);
-        if (!xlate)
-            return std::nullopt;
-        return xlate->perms;
-    }
-
-    pt::Walker &walker() { return *walker_; }
-    unsigned currentProcess() const { return current_; }
 
   private:
     struct Proc
@@ -228,8 +124,23 @@ class MultiWalkSource : public WalkSource
     unsigned scanLines_;
     pt::PwcParams pwcParams_;
     std::vector<Proc> procs_;
-    std::unique_ptr<pt::Walker> walker_;
+    /** Built by the first addProcess(); held inline, so a walk chases
+     * no pointer to reach it. */
+    std::optional<pt::Walker> walker_;
     unsigned current_ = 0;
+};
+
+/** The walk source of a single-process (native or GPU) machine. */
+class NativeWalkSource : public MultiWalkSource
+{
+  public:
+    NativeWalkSource(pt::PageTable &table, stats::StatGroup *parent,
+                     FaultHandler fault_handler, unsigned scan_lines = 1,
+                     pt::PwcParams pwc = {})
+        : MultiWalkSource(parent, scan_lines, pwc)
+    {
+        addProcess(table, std::move(fault_handler));
+    }
 };
 
 } // namespace mixtlb::tlb

@@ -214,26 +214,8 @@ NestedWalkSource::setDirty(VAddr gva)
     guestProc_.pageTable().setDirty(gva);
 }
 
-std::optional<PAddr>
-NestedWalkSource::refTranslate(VAddr gva)
-{
-    auto guest = guestProc_.pageTable().translate(gva);
-    if (!guest)
-        return std::nullopt;
-    return vm_.hostPhysIfMapped(guest->translate(gva));
-}
-
-std::optional<bool>
-NestedWalkSource::refDirty(VAddr gva)
-{
-    auto guest = guestProc_.pageTable().translate(gva);
-    if (!guest)
-        return std::nullopt;
-    return guest->dirty;
-}
-
-std::optional<pt::Perms>
-NestedWalkSource::refPerms(VAddr gva)
+std::optional<pt::Translation>
+NestedWalkSource::refLeaf(VAddr gva)
 {
     auto guest = guestProc_.pageTable().translate(gva);
     if (!guest)
@@ -241,7 +223,7 @@ NestedWalkSource::refPerms(VAddr gva)
     auto host = vm_.ept().translate(vm_.eptHva(guest->translate(gva)));
     if (!host)
         return std::nullopt;
-    return effectiveLeaf(gva, *guest, *host, vm_.eptHva(0)).perms;
+    return effectiveLeaf(gva, *guest, *host, vm_.eptHva(0));
 }
 
 } // namespace mixtlb::virt

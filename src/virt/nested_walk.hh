@@ -43,17 +43,13 @@ class NestedWalkSource : public tlb::WalkSource
     bool hasRefTranslate() const override { return true; }
 
     /**
-     * Two-dimensional reference translation: the guest page table maps
-     * gVA -> gPA functionally, then the EPT maps gPA -> sPA — no TLBs,
-     * no walker caches, nothing faulted in.
+     * Two-dimensional reference leaf: the guest page table maps gVA ->
+     * gPA functionally, then the EPT maps gPA -> sPA — no TLBs, no
+     * walker caches, nothing faulted in. The leaf is the effective one
+     * a walk builds: guest and EPT permissions intersected, and the
+     * guest PTE's dirty bit (the bit setDirty() sets).
      */
-    std::optional<PAddr> refTranslate(VAddr gva) override;
-
-    /** The guest leaf PTE's dirty bit (the bit setDirty() sets). */
-    std::optional<bool> refDirty(VAddr gva) override;
-
-    /** Guest and EPT leaf permissions intersected, as a walk does. */
-    std::optional<pt::Perms> refPerms(VAddr gva) override;
+    std::optional<pt::Translation> refLeaf(VAddr gva) override;
 
   private:
     Vm &vm_;

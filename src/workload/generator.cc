@@ -14,17 +14,8 @@ GupsGen::GupsGen(VAddr base, std::uint64_t bytes, std::uint64_t seed)
 MemRef
 GupsGen::next()
 {
-    if (havePending_) {
-        havePending_ = false;
-        MemRef store = pending_;
-        store.type = AccessType::Write;
-        return store;
-    }
     MemRef ref;
-    ref.vaddr = base_ + (rng_.nextBounded(bytes_ / 8) * 8);
-    ref.type = AccessType::Read;
-    pending_ = ref;
-    havePending_ = true; // read-modify-write pair
+    nextBatch(&ref, 1);
     return ref;
 }
 
@@ -68,12 +59,7 @@ MemRef
 StreamGen::next()
 {
     MemRef ref;
-    ref.vaddr = base_ + cursor_;
-    ref.type = rng_.chance(writeRatio_) ? AccessType::Write
-                                        : AccessType::Read;
-    cursor_ += stride_;
-    if (cursor_ >= bytes_)
-        cursor_ = 0;
+    nextBatch(&ref, 1);
     return ref;
 }
 

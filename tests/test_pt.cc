@@ -273,17 +273,6 @@ TEST_F(PtFixture, LineScanReportsNeighbourADBits)
     EXPECT_FALSE(result.line[3].xlate.accessed);
 }
 
-TEST_F(PtFixture, ReadLeafLineChargesOneAccess)
-{
-    table.map(0x00400000, 0x00000000, PageSize::Size2M);
-    auto result = walker.readLeafLine(0x00400000, false);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(result->accesses.size(), 1u);
-    ASSERT_FALSE(result->pageFault());
-    EXPECT_EQ(result->leaf->vbase, 0x00400000u);
-    EXPECT_FALSE(walker.readLeafLine(0xdead000, false).has_value());
-}
-
 TEST_F(PtFixture, LineGroupAlignment4K)
 {
     // 4KB PTEs: 8 per line, groups aligned to 32KB of VA space.

@@ -133,6 +133,24 @@ TEST(Machine, IdealLowerBoundsEveryone)
     }
 }
 
+TEST(Machine, IdealStoreToCleanPagePaysDirtyMicroOp)
+{
+    // An ideal hit carries the PTE's own dirty bit: a store to a page
+    // so far only loaded issues the micro-op that sets D, and the
+    // oracle sees no dirty entry over a clean PTE.
+    Machine machine(
+        smallMachine(TlbDesign::Ideal, os::PagePolicy::SmallOnly));
+    const VAddr base = machine.mapArena(16 * MiB);
+    const pt::PageTable &table = machine.process().pageTable();
+    contracts::setParanoia(2);
+    EXPECT_TRUE(machine.tlbs().access(base, false).ok);
+    EXPECT_FALSE(table.translate(base)->dirty);
+    EXPECT_TRUE(machine.tlbs().access(base + 8, true).ok);
+    contracts::setParanoia(0);
+    EXPECT_TRUE(table.translate(base)->dirty);
+    EXPECT_EQ(machine.root().value("tlb.dirty_micro_ops"), 1.0);
+}
+
 TEST(Machine, MixAtLeastMatchesSplitAcrossPolicies)
 {
     // The paper's core claim (Figure 14): under 4KB-only, 2MB pool,
@@ -259,4 +277,15 @@ TEST(VirtMachine, MixFillBurstDiscountSurvivesAggregation)
     // Non-mirroring designs keep the conventional full-cost fills.
     EXPECT_DOUBLE_EQ(virtInputs(TlbDesign::Split).fillBurstFactor,
                      1.0);
+}
+
+TEST(VirtMachineDeathTest, IdealDesignIsRejected)
+{
+    // IdealTlb would translate from the guest page table and hand out
+    // guest-physical addresses.
+    VirtMachineParams params;
+    params.hostMemBytes = 1 * GiB;
+    params.design = TlbDesign::Ideal;
+    EXPECT_EXIT(VirtMachine machine(params), ::testing::ExitedWithCode(1),
+                "ideal TLB cannot run in a virtual machine");
 }

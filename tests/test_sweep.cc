@@ -65,11 +65,16 @@ expectIdentical(const RunResult &a, const RunResult &b,
 TEST(SweepRunner, ResultsLandInGridOrder)
 {
     SweepRunner runner(SweepParams{8});
-    auto results = runner.run<std::size_t>(
-        100, [](std::size_t index) { return index * index; });
+    std::vector<PointStatus> statuses;
+    auto results = runner.runChecked<std::size_t>(
+        100, [](std::size_t index) { return index * index; },
+        [](std::size_t index) { return sweepPointSeed(1, index); },
+        statuses);
     ASSERT_EQ(results.size(), 100u);
-    for (std::size_t i = 0; i < results.size(); i++)
+    for (std::size_t i = 0; i < results.size(); i++) {
+        EXPECT_TRUE(statuses[i].ok);
         EXPECT_EQ(results[i], i * i);
+    }
 }
 
 TEST(SweepRunner, PointSeedsDeterministicAndDecorrelated)
@@ -93,30 +98,23 @@ TEST(SweepRunner, PairedJobsShareSeeds)
               effectiveSeed(grid.jobs()[2]));
 }
 
-TEST(SweepRunner, RunPropagatesBodyExceptions)
-{
-    // The plain (non-checked) runner must surface a worker exception
-    // through wait() as a rethrow, not a std::terminate.
-    SweepRunner runner(SweepParams{4});
-    EXPECT_THROW(
-        runner.run<int>(16,
-                        [](std::size_t index) -> int {
-                            if (index == 7)
-                                throw std::runtime_error("boom");
-                            return static_cast<int>(index);
-                        }),
-        std::runtime_error);
-}
-
 TEST(SweepRunner, ParallelSweepIsBitIdenticalToSerial)
 {
     auto grid = smallGrid();
     const auto &jobs = grid.jobs();
     auto run_with = [&jobs](unsigned n) {
         SweepRunner runner(SweepParams{n});
-        return runner.run<RunResult>(
+        std::vector<PointStatus> statuses;
+        auto results = runner.runChecked<RunResult>(
             jobs.size(),
-            [&jobs](std::size_t index) { return runJob(jobs[index]); });
+            [&jobs](std::size_t index) { return runJob(jobs[index]); },
+            [&jobs](std::size_t index) {
+                return effectiveSeed(jobs[index]);
+            },
+            statuses);
+        for (const auto &status : statuses)
+            EXPECT_TRUE(status.ok) << status.errorMessage;
+        return results;
     };
     auto serial = run_with(1);
     auto parallel = run_with(8);
