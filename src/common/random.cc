@@ -1,6 +1,10 @@
 #include "random.hh"
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "logging.hh"
 
@@ -17,6 +21,32 @@ splitmix64(std::uint64_t &state)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
+}
+
+/**
+ * The normaliser sum over [1, n]: a direct sum for small n; two-point
+ * interpolation keeps construction cheap for big item counts while
+ * preserving the distribution shape.
+ */
+double
+zetaSum(std::uint64_t n, double theta)
+{
+    double sum = 0.0;
+    if (n <= 1'000'000) {
+        for (std::uint64_t i = 1; i <= n; i++)
+            sum += 1.0 / std::pow(static_cast<double>(i), theta);
+        return sum;
+    }
+    for (std::uint64_t i = 1; i <= 1'000'000; i++)
+        sum += 1.0 / std::pow(static_cast<double>(i), theta);
+    // Integral tail approximation of sum_{1e6+1}^{n} x^-theta.
+    double a = 1e6, b = static_cast<double>(n);
+    if (theta == 1.0)
+        sum += std::log(b / a);
+    else
+        sum += (std::pow(b, 1.0 - theta) - std::pow(a, 1.0 - theta))
+               / (1.0 - theta);
+    return sum;
 }
 
 } // anonymous namespace
@@ -76,23 +106,22 @@ Rng::chance(double p)
 double
 ZipfSampler::zeta(std::uint64_t n, double theta)
 {
-    // Direct sum for small n; two-point interpolation keeps construction
-    // cheap for big item counts while preserving the distribution shape.
-    double sum = 0.0;
-    if (n <= 1'000'000) {
-        for (std::uint64_t i = 1; i <= n; i++)
-            sum += 1.0 / std::pow(static_cast<double>(i), theta);
-        return sum;
+    // A pure function of (n, theta) that costs up to 1M pow() calls, and
+    // every machine with a Zipf workload builds a sampler: compute each
+    // pair once per process. Sweeps build samplers on pool workers, so
+    // the table is shared under a lock; the sum runs outside it. The
+    // key holds theta's bits, which order even a NaN.
+    static std::mutex lock;
+    static std::map<std::pair<std::uint64_t, std::uint64_t>, double> memo;
+    const auto key = std::make_pair(n, std::bit_cast<std::uint64_t>(theta));
+    {
+        std::lock_guard<std::mutex> guard(lock);
+        if (auto it = memo.find(key); it != memo.end())
+            return it->second;
     }
-    for (std::uint64_t i = 1; i <= 1'000'000; i++)
-        sum += 1.0 / std::pow(static_cast<double>(i), theta);
-    // Integral tail approximation of sum_{1e6+1}^{n} x^-theta.
-    double a = 1e6, b = static_cast<double>(n);
-    if (theta == 1.0)
-        sum += std::log(b / a);
-    else
-        sum += (std::pow(b, 1.0 - theta) - std::pow(a, 1.0 - theta))
-               / (1.0 - theta);
+    const double sum = zetaSum(n, theta);
+    std::lock_guard<std::mutex> guard(lock);
+    memo.emplace(key, sum);
     return sum;
 }
 

@@ -32,6 +32,7 @@ BuddyAllocator::BuddyAllocator(std::uint64_t total_frames)
         FreeMap &map = free_[o];
         map.blocks = shiftRight(total_frames, o);
         map.words.assign(divCeil(map.blocks, 64), 0);
+        map.summary.assign(divCeil(map.words.size(), 64), 0);
         map.cursor = map.words.size();
     }
     // Seed the free lists with maximal naturally aligned blocks, as a
@@ -66,6 +67,7 @@ BuddyAllocator::markFree(Pfn pfn, unsigned order)
     const std::uint64_t idx = shiftRight(pfn, order);
     const std::uint64_t word = idx >> 6;
     map.words[word] |= bitOf(idx);
+    map.summary[word >> 6] |= bitOf(word);
     map.count++;
     if (word < map.cursor)
         map.cursor = word;
@@ -79,15 +81,23 @@ BuddyAllocator::markUsed(Pfn pfn, unsigned order)
     const std::uint64_t word = idx >> 6;
     map.words[word] &= ~bitOf(idx);
     map.count--;
+    if (map.words[word] != 0)
+        return;
+    map.summary[word >> 6] &= ~bitOf(word);
     if (map.count == 0) {
         map.cursor = map.words.size();
         return;
     }
-    // Keep the cursor on the lowest nonzero word: only clearing that
-    // word's last bit moves it, and then forward to the next live word.
+    // Keep the cursor on the lowest nonzero word: only emptying that
+    // word moves it, and then to the next live word, which the summary
+    // names; one exists because the count is nonzero.
     if (word == map.cursor) {
-        while (map.cursor < map.words.size() && map.words[map.cursor] == 0)
-            map.cursor++;
+        const std::uint64_t next = word + 1;
+        std::uint64_t s = next >> 6;
+        std::uint64_t live = map.summary[s] & (~0ULL << (next & 63));
+        while (live == 0)
+            live = map.summary[++s];
+        map.cursor = s * 64 + static_cast<unsigned>(std::countr_zero(live));
     }
 }
 
@@ -282,6 +292,17 @@ BuddyAllocator::audit(contracts::AuditReport &report) const
                         "count says %llu",
                         o, (unsigned long long)count,
                         (unsigned long long)map.count);
+        // The summary holds one bit per word, nonzero words exactly.
+        std::uint64_t summary_drift = 0;
+        for (std::uint64_t w = 0; w < map.summary.size() * 64; w++) {
+            const bool live = w < map.words.size() && map.words[w] != 0;
+            if (live != ((map.summary[w >> 6] & bitOf(w)) != 0))
+                summary_drift++;
+        }
+        MIX_AUDIT_CHECK(report, summary_drift == 0,
+                        "order-%u summary disagrees with %llu bitmap "
+                        "words",
+                        o, (unsigned long long)summary_drift);
         MIX_AUDIT_CHECK(report, lowest == map.cursor,
                         "order-%u cursor at word %llu but the lowest "
                         "free block is in word %llu",

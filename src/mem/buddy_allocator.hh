@@ -12,7 +12,9 @@
  * The free lists are flat, pfn-indexed bitmaps, one per order (DESIGN.md
  * §14): bit i of order o set means the block of 2^o frames at pfn
  * i * 2^o is free. A per-order count and lowest-nonzero-word cursor make
- * the lowest free block of an order an O(1) lookup.
+ * the lowest free block of an order an O(1) lookup, and a per-order
+ * summary bitmap (one bit per nonzero word) moves the cursor past runs
+ * of empty words without scanning them.
  */
 
 #ifndef MIXTLB_MEM_BUDDY_ALLOCATOR_HH
@@ -93,9 +95,9 @@ class BuddyAllocator
     /**
      * Structural audit: every free block inside the managed range, free
      * blocks pairwise disjoint, no two buddies left unmerged at the same
-     * order, each order's count and cursor matching its bitmap, and the
-     * free lists conserving freeFrames() exactly (split/merge must
-     * neither leak nor mint frames). Natural alignment holds by
+     * order, each order's count, summary and cursor matching its bitmap,
+     * and the free lists conserving freeFrames() exactly (split/merge
+     * must neither leak nor mint frames). Natural alignment holds by
      * construction: a bit can only name an aligned block.
      */
     void audit(contracts::AuditReport &report) const;
@@ -113,6 +115,8 @@ class BuddyAllocator
         std::uint64_t blocks = 0;
         /** Set bits (free blocks of this order). */
         std::uint64_t count = 0;
+        /** Bit w: words[w] is nonzero. */
+        std::vector<std::uint64_t> summary;
         /**
          * Index of the lowest nonzero word, or words.size() when the
          * order has no free block. Every word below it is zero.

@@ -1,6 +1,7 @@
 #include "memhog.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
@@ -8,6 +9,18 @@
 
 namespace mixtlb::os
 {
+
+namespace
+{
+
+/** Bit of frame @p pfn within its word of the movable bitmap. */
+constexpr std::uint64_t
+bitOf(Pfn pfn)
+{
+    return 1ULL << (pfn & 63);
+}
+
+} // namespace
 
 void
 Memhog::fragment(double fraction, std::uint64_t seed)
@@ -68,19 +81,52 @@ Memhog::fragment(double fraction, std::uint64_t seed)
         for (std::uint64_t i = 0; i < pow2(order); i++)
             frames.push_back(base + i);
     }
-    for (std::uint64_t i = frames.size(); i > 1; i--)
-        std::swap(frames[i - 1], frames[rng.nextBounded(i)]);
 
     std::uint64_t want_movable =
         want_total > unmovable_frames ? want_total - unmovable_frames : 0;
     if (want_movable > frames.size())
         want_movable = frames.size();
 
-    movable_.assign(frames.begin(), frames.begin() + want_movable);
-    for (std::uint64_t i = want_movable; i < frames.size(); i++)
-        mem.freeFrames(frames[i], 0);
-    for (std::uint64_t tag = 0; tag < movable_.size(); tag++)
-        mm_.registerMovable(movable_[tag], this, tag);
+    // We keep frames[0, want_movable) of a Fisher-Yates shuffle from the
+    // back. Step i fixes position i-1, so once i reaches want_movable
+    // the kept set is final and later steps would only reorder it.
+    for (std::uint64_t i = frames.size(); i > want_movable && i > 1; i--)
+        std::swap(frames[i - 1], frames[rng.nextBounded(i)]);
+    movable_.assign(divCeil(mem.totalFrames(), 64), 0);
+    for (std::uint64_t i = 0; i < want_movable; i++)
+        movable_[frames[i] >> 6] |= bitOf(frames[i]);
+    movableCount_ = want_movable;
+
+    // One pfn-order sweep registers the kept frames and frees each run
+    // between them as maximal aligned blocks. Buddies merge eagerly, so
+    // the free lists end exactly as single-frame frees in any order
+    // leave them; memhog frames hold no word buffers to recycle.
+    std::sort(claimed.begin(), claimed.end());
+    for (auto [base, order] : claimed) {
+        const Pfn end = base + pow2(order);
+        Pfn run = base;
+        for (Pfn pfn = base; pfn < end; pfn++) {
+            if (!holds(pfn))
+                continue;
+            freeRun(run, pfn);
+            mm_.registerMovable(pfn, this, 0);
+            run = pfn + 1;
+        }
+        freeRun(run, end);
+    }
+}
+
+void
+Memhog::freeRun(Pfn lo, Pfn hi)
+{
+    while (lo < hi) {
+        const unsigned order =
+            std::min({static_cast<unsigned>(std::countr_zero(lo)),
+                      static_cast<unsigned>(std::bit_width(hi - lo)) - 1,
+                      mem::BuddyAllocator::MaxOrder});
+        mm_.phys().freeFrames(lo, order);
+        lo += pow2(order);
+    }
 }
 
 std::uint64_t
@@ -111,22 +157,35 @@ Memhog::release()
 {
     burstRelease();
     auto &mem = mm_.phys();
-    for (std::uint64_t tag = 0; tag < movable_.size(); tag++) {
-        mm_.unregisterMovable(movable_[tag]);
-        mem.freeFrames(movable_[tag], 0);
+    for (std::uint64_t w = 0; w < movable_.size(); w++) {
+        for (std::uint64_t bits = movable_[w]; bits != 0; bits &= bits - 1) {
+            const Pfn pfn = w * 64 + static_cast<unsigned>(
+                                         std::countr_zero(bits));
+            mm_.unregisterMovable(pfn);
+            mem.freeFrames(pfn, 0);
+        }
     }
     movable_.clear();
+    movableCount_ = 0;
     for (Pfn block : unmovable_)
         mem.freeFrames(block, mem::Order2M);
     unmovable_.clear();
 }
 
-void
-Memhog::relocate(std::uint64_t tag, Pfn from, Pfn to)
+bool
+Memhog::holds(Pfn pfn) const
 {
-    panic_if(tag >= movable_.size() || movable_[tag] != from,
-             "memhog relocate tag/pfn mismatch");
-    movable_[tag] = to;
+    return (pfn >> 6) < movable_.size() &&
+           (movable_[pfn >> 6] & bitOf(pfn)) != 0;
+}
+
+void
+Memhog::relocate(std::uint64_t, Pfn from, Pfn to)
+{
+    panic_if(!holds(from), "memhog relocate of frame 0x%llx we do not hold",
+             (unsigned long long)from);
+    movable_[from >> 6] &= ~bitOf(from);
+    movable_[to >> 6] |= bitOf(to);
 }
 
 } // namespace mixtlb::os

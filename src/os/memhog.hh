@@ -13,6 +13,9 @@
  *    groups unmovable allocations into whole 2MB pageblocks, so the
  *    slice claims whole blocks; those regions can never host a
  *    superpage again.
+ *
+ * The movable frames are held as a pfn bitmap (DESIGN.md §14): compaction
+ * flips two bits per migrated frame, and release() frees in pfn order.
  */
 
 #ifndef MIXTLB_OS_MEMHOG_HH
@@ -60,23 +63,32 @@ class Memhog : public MovableOwner
     /** Release the frames claimed by burstAcquire(). */
     void burstRelease();
 
-    std::uint64_t movableFrames() const { return movable_.size(); }
+    std::uint64_t movableFrames() const { return movableCount_; }
     std::uint64_t unmovableBlocks() const { return unmovable_.size(); }
     std::uint64_t burstFrames() const { return burst_.size(); }
 
-    // MovableOwner: compaction moved one of our frames.
+    // MovableOwner: compaction moved one of our frames. Memhog
+    // registers every frame with tag 0 and tracks frames by pfn.
     void relocate(std::uint64_t tag, Pfn from, Pfn to) override;
 
   private:
     MemoryManager &mm_;
     double unmovableShare_;
 
-    /** Movable hogged frames: tag -> pfn (tags are dense indices). */
-    std::vector<Pfn> movable_;
+    /** Movable hogged frames: bit p set when we hold frame p. */
+    std::vector<std::uint64_t> movable_;
+    /** Set bits in movable_. */
+    std::uint64_t movableCount_ = 0;
     /** Unmovable 2MB pageblocks. */
     std::vector<Pfn> unmovable_;
     /** Transient pressure-burst frames (order 0, pinned). */
     std::vector<Pfn> burst_;
+
+    /** Is @p pfn one of our movable frames? */
+    bool holds(Pfn pfn) const;
+
+    /** Free the claimed frames [lo, hi) as maximal aligned blocks. */
+    void freeRun(Pfn lo, Pfn hi);
 };
 
 } // namespace mixtlb::os

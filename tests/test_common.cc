@@ -11,6 +11,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/inline_vec.hh"
@@ -149,6 +150,41 @@ TEST(Zipf, RanksSkewTowardZero)
     for (std::uint64_t r = 0; r < 10; r++)
         head += hist.count(r) ? hist[r] : 0;
     EXPECT_GT(head, n / 4);
+}
+
+TEST(Zipf, ConcurrentSamplersMatchSerial)
+{
+    // Each thread builds a sampler over one (n, theta) every thread
+    // shares and one of its own. No other test uses these pairs, so
+    // the threads race to fill the process-wide normaliser table; the
+    // ranks must still match samplers built afterwards on one thread.
+    constexpr unsigned Threads = 8;
+    constexpr std::uint64_t SharedN = 300'007;
+    constexpr double SharedTheta = 0.91;
+    auto ownN = [](unsigned t) { return 100'003 + 1'000 * t; };
+    auto ownTheta = [](unsigned t) { return 0.5 + 0.05 * t; };
+    auto draw = [](std::uint64_t n, double theta, std::uint64_t seed) {
+        ZipfSampler zipf(n, theta, seed);
+        std::vector<std::uint64_t> ranks(256);
+        for (auto &rank : ranks)
+            rank = zipf.sample();
+        return ranks;
+    };
+
+    std::vector<std::vector<std::uint64_t>> shared(Threads), own(Threads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < Threads; t++) {
+        threads.emplace_back([&, t] {
+            shared[t] = draw(SharedN, SharedTheta, t + 1);
+            own[t] = draw(ownN(t), ownTheta(t), t + 1);
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    for (unsigned t = 0; t < Threads; t++) {
+        EXPECT_EQ(shared[t], draw(SharedN, SharedTheta, t + 1)) << t;
+        EXPECT_EQ(own[t], draw(ownN(t), ownTheta(t), t + 1)) << t;
+    }
 }
 
 TEST(Stats, ScalarBasics)

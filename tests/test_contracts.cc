@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/contracts.hh"
 #include "common/intmath.hh"
 #include "mem/buddy_allocator.hh"
@@ -36,6 +38,14 @@ struct BuddyTestAccess
     {
         const std::uint64_t idx = pfn >> order;
         buddy.free_.at(order).words.at(idx / 64) |= 1ULL << (idx % 64);
+    }
+
+    /** Clear the summary bits of @p order, leaving its words as they are. */
+    static void
+    clearSummary(BuddyAllocator &buddy, unsigned order)
+    {
+        auto &summary = buddy.free_.at(order).summary;
+        std::fill(summary.begin(), summary.end(), 0);
     }
 
     /** Skew the free-block count of @p order by @p delta. */
@@ -410,6 +420,22 @@ TEST(BuddyAudit, CountDriftIsReported)
     buddy.audit(report);
     EXPECT_FALSE(report.ok());
     EXPECT_TRUE(report.mentions("free lists hold")) << report.summary();
+}
+
+TEST(BuddyAudit, SummaryDriftIsReported)
+{
+    // 1000 frames: order 3 holds the free block at pfn 992, so its
+    // word is nonzero and its summary bit must be set.
+    mem::BuddyAllocator buddy(1000);
+    contracts::AuditReport clean;
+    buddy.audit(clean);
+    ASSERT_TRUE(clean.ok()) << clean.summary();
+    mem::BuddyTestAccess::clearSummary(buddy, 3);
+    contracts::AuditReport report;
+    buddy.audit(report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.mentions("order-3 summary disagrees"))
+        << report.summary();
 }
 
 TEST(PhysMemAudit, FreeListAndUsageTagDisagreementIsReported)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -305,6 +306,90 @@ TEST(BuddyProperty, MatchesReferenceModelWithGigabyteRegions)
     // Three order-18 blocks plus an odd tail, so 1GB allocs and
     // allocRegion calls succeed, fail and split.
     runBuddyDifferential(3 * pow2(Order1G) + 777, 21, 1500);
+}
+
+namespace
+{
+
+/** How runOrderedFrees returns the frames it claimed. */
+enum class FreeOrder
+{
+    Ascending,
+    Descending,
+    Interleaved, ///< ascending, with random allocations in between
+};
+
+/**
+ * Claim every frame singly, then free them in pfn order: each free of
+ * an ascending sweep merges and empties the cursor word, the pattern a
+ * pfn-order memhog sweep makes. The allocator must match the reference
+ * model and audit clean (summary bits included) along the way.
+ */
+void
+runOrderedFrees(std::uint64_t frames, FreeOrder order, unsigned audit_every)
+{
+    BuddyAllocator buddy(frames);
+    reference::ReferenceBuddy model(frames);
+    std::vector<Pfn> claimed;
+    while (auto pfn = buddy.alloc(0)) {
+        ASSERT_EQ(pfn, model.alloc(0));
+        claimed.push_back(*pfn);
+    }
+    ASSERT_EQ(claimed.size(), frames);
+    if (order == FreeOrder::Descending)
+        std::reverse(claimed.begin(), claimed.end());
+
+    Rng rng(frames);
+    std::vector<std::pair<Pfn, unsigned>> held;
+    auto check = [&](std::size_t step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        ASSERT_EQ(buddy.freeFrames(), model.freeFrames());
+        for (unsigned o = 0; o <= BuddyAllocator::MaxOrder; o++)
+            ASSERT_EQ(buddy.freeBlocksAt(o), model.freeBlocksAt(o)) << o;
+        if (step % audit_every != 0)
+            return;
+        contracts::AuditReport report;
+        buddy.audit(report);
+        ASSERT_TRUE(report.ok()) << report.summary();
+        std::vector<std::pair<Pfn, unsigned>> blocks;
+        buddy.forEachFreeBlock([&blocks](Pfn pfn, unsigned o) {
+            blocks.emplace_back(pfn, o);
+        });
+        ASSERT_EQ(blocks, model.freeBlocks());
+    };
+    for (std::size_t i = 0; i < claimed.size(); i++) {
+        buddy.free(claimed[i], 0);
+        model.free(claimed[i], 0);
+        if (order == FreeOrder::Interleaved && rng.nextBounded(4) == 0) {
+            const unsigned o = randomOrder(rng);
+            auto got = buddy.alloc(o);
+            ASSERT_EQ(got, model.alloc(o)) << "alloc order " << o;
+            if (got)
+                held.emplace_back(*got, o);
+        }
+        ASSERT_NO_FATAL_FAILURE(check(i));
+    }
+    for (auto [pfn, o] : held) {
+        buddy.free(pfn, o);
+        model.free(pfn, o);
+    }
+    ASSERT_NO_FATAL_FAILURE(check(0));
+    EXPECT_EQ(buddy.freeFrames(), frames);
+}
+
+} // anonymous namespace
+
+TEST(BuddyProperty, PfnOrderFreesMatchReferenceModel)
+{
+    // Sizes whose order-0 summary spans one word, several words, and
+    // several words with a ragged tail.
+    for (FreeOrder order : {FreeOrder::Ascending, FreeOrder::Descending,
+                            FreeOrder::Interleaved}) {
+        SCOPED_TRACE(static_cast<int>(order));
+        runOrderedFrees(1000, order, 1);
+        runOrderedFrees(16 * 512 + 77, order, 7);
+        runOrderedFrees(40 * 512 + 333, order, 97);
+    }
 }
 
 TEST(BuddyDeathTest, MisalignedFreePanics)

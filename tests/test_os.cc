@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -284,6 +286,19 @@ TEST(MovableRegistryDeathTest, UnregisterUnknownFramePanics)
     EXPECT_DEATH(mm.unregisterMovable(5), "was not movable");
 }
 
+TEST(MemhogDeathTest, RelocateOfAFrameItDoesNotHoldPanics)
+{
+    mem::PhysMem mem(16 * MiB);
+    stats::StatGroup root("test");
+    MemoryManager mm(mem, &root);
+    Memhog hog(mm, 0.0);
+    hog.fragment(0.5, 1);
+    Pfn free_pfn = 0;
+    while (mem.frameUse(free_pfn) != mem::FrameUse::Free)
+        free_pfn++;
+    EXPECT_DEATH(hog.relocate(0, free_pfn, free_pfn), "we do not hold");
+}
+
 TEST_F(OsFixture, MemhogUnmovableShareClaimsPageblocks)
 {
     Memhog hog(mm, 0.5);
@@ -295,6 +310,194 @@ TEST_F(OsFixture, MemhogUnmovableShareClaimsPageblocks)
     double share = static_cast<double>(unmovable_frames)
                    / (unmovable_frames + hog.movableFrames());
     EXPECT_NEAR(share, 0.5, 0.1);
+}
+
+namespace
+{
+
+/**
+ * Memhog as it was before the pfn bitmap, kept as the reference for
+ * MemhogProperty: a tag -> pfn vector, the full Fisher-Yates shuffle,
+ * and single-frame frees in shuffle order.
+ */
+class ReferenceMemhog : public MovableOwner
+{
+  public:
+    ReferenceMemhog(MemoryManager &mm, double unmovable_share)
+        : mm_(mm), unmovableShare_(unmovable_share)
+    {}
+
+    void
+    fragment(double fraction, std::uint64_t seed)
+    {
+        release();
+        if (fraction == 0.0)
+            return;
+        auto &mem = mm_.phys();
+        Rng rng(seed);
+        const auto want_total = static_cast<std::uint64_t>(
+            fraction * static_cast<double>(mem.totalFrames()));
+        const auto want_unmovable = static_cast<std::uint64_t>(
+            unmovableShare_ * static_cast<double>(want_total));
+        const std::uint64_t num_blocks = mem.totalFrames() >> mem::Order2M;
+        constexpr unsigned ClusterBlocks = 16;
+        std::uint64_t unmovable_frames = 0;
+        unsigned attempts = 0;
+        while (unmovable_frames + (1ULL << mem::Order2M) <= want_unmovable &&
+               attempts < 4 * num_blocks) {
+            attempts++;
+            Pfn start = rng.nextBounded(num_blocks) << mem::Order2M;
+            for (unsigned i = 0;
+                 i < ClusterBlocks &&
+                 unmovable_frames + (1ULL << mem::Order2M) <= want_unmovable;
+                 i++) {
+                Pfn block = start + (static_cast<Pfn>(i) << mem::Order2M);
+                if (block + (1ULL << mem::Order2M) > mem.totalFrames())
+                    break;
+                if (mem.allocFramesAt(block, mem::Order2M,
+                                      mem::FrameUse::Pinned)) {
+                    unmovable_.push_back(block);
+                    unmovable_frames += 1ULL << mem::Order2M;
+                }
+            }
+        }
+        std::vector<std::pair<Pfn, unsigned>> claimed;
+        for (unsigned order = mem::BuddyAllocator::MaxOrder + 1;
+             order-- > 0;) {
+            while (auto pfn = mem.allocFrames(order, mem::FrameUse::AppSmall))
+                claimed.emplace_back(*pfn, order);
+        }
+        std::vector<Pfn> frames;
+        for (auto [base, order] : claimed) {
+            for (std::uint64_t i = 0; i < pow2(order); i++)
+                frames.push_back(base + i);
+        }
+        for (std::uint64_t i = frames.size(); i > 1; i--)
+            std::swap(frames[i - 1], frames[rng.nextBounded(i)]);
+        std::uint64_t want_movable =
+            want_total > unmovable_frames ? want_total - unmovable_frames : 0;
+        if (want_movable > frames.size())
+            want_movable = frames.size();
+        movable_.assign(frames.begin(), frames.begin() + want_movable);
+        for (std::uint64_t i = want_movable; i < frames.size(); i++)
+            mem.freeFrames(frames[i], 0);
+        for (std::uint64_t tag = 0; tag < movable_.size(); tag++)
+            mm_.registerMovable(movable_[tag], this, tag);
+    }
+
+    void
+    release()
+    {
+        auto &mem = mm_.phys();
+        for (std::uint64_t tag = 0; tag < movable_.size(); tag++) {
+            mm_.unregisterMovable(movable_[tag]);
+            mem.freeFrames(movable_[tag], 0);
+        }
+        movable_.clear();
+        for (Pfn block : unmovable_)
+            mem.freeFrames(block, mem::Order2M);
+        unmovable_.clear();
+    }
+
+    void
+    relocate(std::uint64_t tag, Pfn from, Pfn to) override
+    {
+        ASSERT_LT(tag, movable_.size());
+        ASSERT_EQ(movable_[tag], from);
+        movable_[tag] = to;
+    }
+
+    std::uint64_t movableFrames() const { return movable_.size(); }
+
+  private:
+    MemoryManager &mm_;
+    double unmovableShare_;
+    std::vector<Pfn> movable_;
+    std::vector<Pfn> unmovable_;
+};
+
+/** One memory with its manager, as a machine builds them. */
+struct MemhogWorld
+{
+    explicit MemhogWorld(std::uint64_t bytes) : mem(bytes) {}
+
+    mem::PhysMem mem;
+    stats::StatGroup root{"test"};
+    MemoryManager mm{mem, &root};
+};
+
+/**
+ * Where the two worlds first differ in the state the model reads:
+ * the free lists, every frame's use, and registry membership. Empty
+ * when they agree.
+ */
+std::string
+firstDifference(const MemhogWorld &a, const MemhogWorld &b)
+{
+    std::vector<std::pair<Pfn, unsigned>> blocks_a, blocks_b;
+    a.mem.buddy().forEachFreeBlock(
+        [&](Pfn pfn, unsigned o) { blocks_a.emplace_back(pfn, o); });
+    b.mem.buddy().forEachFreeBlock(
+        [&](Pfn pfn, unsigned o) { blocks_b.emplace_back(pfn, o); });
+    if (blocks_a != blocks_b)
+        return "free blocks differ";
+    for (Pfn pfn = 0; pfn < a.mem.totalFrames(); pfn++) {
+        if (a.mem.frameUse(pfn) != b.mem.frameUse(pfn))
+            return "frame use differs at pfn " + std::to_string(pfn);
+        if (a.mm.isMovable(pfn) != b.mm.isMovable(pfn))
+            return "registry differs at pfn " + std::to_string(pfn);
+    }
+    return "";
+}
+
+} // anonymous namespace
+
+TEST(MemhogProperty, FragmentMatchesFullShuffleReference)
+{
+    // Ragged and power-of-two memories; fractions from none to all of
+    // memory; with and without unmovable pageblocks.
+    for (std::uint64_t bytes : {16 * MiB + 20 * 1024, 96 * MiB, 512 * MiB}) {
+        for (double fraction : {0.0, 0.3, 0.6, 1.0}) {
+            for (double unmovable : {0.0, 0.2, 0.5}) {
+                for (std::uint64_t seed : {1, 42}) {
+                    SCOPED_TRACE(std::to_string(bytes) + " B, fraction " +
+                                 std::to_string(fraction) + ", unmovable " +
+                                 std::to_string(unmovable) + ", seed " +
+                                 std::to_string(seed));
+                    MemhogWorld fast(bytes), slow(bytes);
+                    Memhog hog(fast.mm, unmovable);
+                    ReferenceMemhog reference(slow.mm, unmovable);
+                    hog.fragment(fraction, seed);
+                    reference.fragment(fraction, seed);
+                    ASSERT_EQ(hog.movableFrames(), reference.movableFrames());
+                    ASSERT_EQ(firstDifference(fast, slow), "");
+
+                    // Compaction migrates memhog frames through relocate.
+                    for (int i = 0; i < 8; i++) {
+                        ASSERT_EQ(fast.mm.allocContiguous(
+                                      mem::Order2M, mem::FrameUse::AppHuge,
+                                      true),
+                                  slow.mm.allocContiguous(
+                                      mem::Order2M, mem::FrameUse::AppHuge,
+                                      true))
+                            << "compaction " << i;
+                    }
+                    ASSERT_EQ(fast.root.scalar("mm.pages_migrated").value(),
+                              slow.root.scalar("mm.pages_migrated").value());
+                    ASSERT_EQ(firstDifference(fast, slow), "");
+
+                    hog.release();
+                    reference.release();
+                    EXPECT_EQ(hog.movableFrames(), 0u);
+                    ASSERT_EQ(firstDifference(fast, slow), "");
+                    contracts::AuditReport report;
+                    fast.mem.audit(report);
+                    fast.mm.audit(report);
+                    EXPECT_TRUE(report.ok()) << report.summary();
+                }
+            }
+        }
+    }
 }
 
 TEST_F(OsFixture, ProcessSmallOnlyPolicy)

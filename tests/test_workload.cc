@@ -13,6 +13,7 @@
 #include <iterator>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hh"
@@ -366,6 +367,122 @@ TEST(Workload, NextBatchMatchesNextForEveryFamily)
             ASSERT_EQ(static_cast<int>(refs[i].type),
                       static_cast<int>(want.type))
                 << "ref " << i;
+        }
+    }
+}
+
+namespace
+{
+
+/** One pinned reference: its index in the stream and its value. */
+struct PinnedRef
+{
+    std::size_t index;
+    std::uint64_t offset; ///< vaddr - Base
+    AccessType type;
+};
+
+/** A family's pinned stream: a digest of its first refs, and a few. */
+struct PinnedStream
+{
+    std::string name;
+    std::uint64_t digest; ///< streamDigest of the first 5000 refs
+    std::vector<PinnedRef> refs;
+};
+
+/** FNV-1a over each reference's (vaddr - Base, type). */
+std::uint64_t
+streamDigest(const std::vector<MemRef> &refs)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const MemRef &ref : refs) {
+        hash = (hash ^ (ref.vaddr - Base)) * 0x100000001b3ULL;
+        hash = (hash ^ static_cast<std::uint64_t>(ref.type))
+               * 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+} // anonymous namespace
+
+TEST(Workload, StreamsMatchPinnedReferences)
+{
+    // Values recorded from every family at seed 42 over 64 MiB. The
+    // parity tests above compare a generator with itself, so only
+    // these catch a change to a stream: a gups or stream edit, or a
+    // different Zipf normaliser under graph500, bfs, memcached and
+    // dataserving. Zipf ranks move little with the normaliser, so the
+    // digest of the whole 5000-ref prefix is what catches most such
+    // changes; the single refs name where a stream went wrong.
+    constexpr AccessType R = AccessType::Read;
+    constexpr AccessType W = AccessType::Write;
+    const std::vector<PinnedStream> pinned = {
+        {"mcf", 0x7ada87182185b8e5,
+         {{0, 0x6104d8, R}, {1, 0xecb8a8, R}, {2, 0xc50da0, R},
+          {3, 0xd99a20, R}, {1000, 0x94a0e0, R}, {4999, 0xeed630, R}}},
+        {"omnetpp", 0xba4feb502e464e3b,
+         {{0, 0x2c209b0, R}, {1, 0x1aaaaa9, R}, {2, 0x1555554, R},
+          {3, 0xffffff, R}, {1000, 0x10003a7, R}, {4999, 0x5596b5, R}}},
+        {"xalancbmk", 0xd9b8f977a16a22d5,
+         {{0, 0x2c209b0, R}, {1, 0x1800000, R}, {2, 0x1000000, R},
+          {3, 0x1000080, R}, {1000, 0x3622fb0, R}, {4999, 0x1d48, R}}},
+        {"milc", 0x09509efe41baae35,
+         {{0, 0x0, W}, {1, 0x80, W}, {2, 0x100, R},
+          {3, 0x180, R}, {1000, 0x1f400, W}, {4999, 0x9c380, W}}},
+        {"canneal", 0xe39cc2f922b64ef5,
+         {{0, 0xc209b0, R}, {1, 0x1d97158, R}, {2, 0x18a1b48, R},
+          {3, 0x1b33448, R}, {1000, 0x12941c0, R}, {4999, 0x16cc1b8, R}}},
+        {"streamcluster", 0x072331a54ecee522,
+         {{0, 0x0, W}, {1, 0x40, R}, {2, 0x80, R},
+          {3, 0xc0, R}, {1000, 0xfa00, W}, {4999, 0x4e1c0, R}}},
+        {"gups", 0xf0e3e5c4ef2b0895,
+         {{0, 0x55e028, R}, {1, 0x55e028, W}, {2, 0x1841360, R},
+          {3, 0x1841360, W}, {1000, 0xe59240, R}, {4999, 0x6ef98, W}}},
+        {"graph500", 0xa0f716861fa741bd,
+         {{0, 0x1d4d240, R}, {1, 0x1d4d248, R}, {2, 0x1d4d250, R},
+          {3, 0xa80, R}, {1000, 0x70, R}, {4999, 0x33c1200, R}}},
+        {"memcached", 0x88e0e09fcf5dcc15,
+         {{0, 0x7eccf8, R}, {1, 0x2cb2400, W}, {2, 0x2cb2440, W},
+          {3, 0x2cb2480, W}, {1000, 0x806800, R}, {4999, 0x802ac0, R}}},
+        {"dataserving", 0x2ea8a87252cf8b55,
+         {{0, 0xf7db0, R}, {1, 0x20cc400, W}, {2, 0x20cc440, W},
+          {3, 0x20cc480, W}, {1000, 0x1000340, R}, {4999, 0x1569400, R}}},
+        {"btree", 0x4cabb170adc86345,
+         {{0, 0x24618, R}, {1, 0x58c50, R}, {2, 0x49e50, R},
+          {3, 0x51998, R}, {1000, 0x37bc0, R}, {4999, 0x59900, R}}},
+        {"bfs", 0x7218651a6466a485,
+         {{0, 0x124ff40, R}, {1, 0x124ff48, R}, {2, 0x140, R},
+          {3, 0x148, R}, {1000, 0x22c8, R}, {4999, 0x418, R}}},
+        {"backprop", 0x27f1bd37d98f804a,
+         {{0, 0x0, W}, {1, 0x100, R}, {2, 0x200, R},
+          {3, 0x300, R}, {1000, 0x3e800, W}, {4999, 0x138700, W}}},
+        {"kmeans", 0xf8e388eba94d041b,
+         {{0, 0x2c209b0, R}, {1, 0x1555554, R}, {2, 0x15555d4, R},
+          {3, 0xaaaaaa, R}, {1000, 0x155efd4, R}, {4999, 0xab60ea, R}}},
+        {"pathfinder", 0x0dcbb4db978f02bd,
+         {{0, 0x0, W}, {1, 0x40, R}, {2, 0x80, R},
+          {3, 0xc0, R}, {1000, 0xfa00, W}, {4999, 0x4e1c0, R}}},
+        {"hotspot", 0x4bd12b81963038eb,
+         {{0, 0x666666, R}, {1, 0x1999998, R}, {2, 0x19999b8, R},
+          {3, 0x1333332, R}, {1000, 0x1333a0a, R}, {4999, 0x19a0d38, W}}},
+        {"srad", 0x2a446128e186992d,
+         {{0, 0x0, W}, {1, 0x80, R}, {2, 0x100, R},
+          {3, 0x180, R}, {1000, 0x1f400, W}, {4999, 0x9c380, W}}},
+    };
+    std::size_t families = cpuWorkloads().size() + gpuWorkloads().size();
+    EXPECT_EQ(pinned.size(), families) << "pin every family";
+    for (const PinnedStream &family : pinned) {
+        SCOPED_TRACE(family.name);
+        auto gen = makeGenerator(family.name, Base, 64 * MiB, 42);
+        std::vector<MemRef> stream(5000);
+        gen->nextBatch(stream.data(), stream.size());
+        EXPECT_EQ(streamDigest(stream), family.digest);
+        for (const PinnedRef &pin : family.refs) {
+            EXPECT_EQ(stream[pin.index].vaddr, Base + pin.offset)
+                << "ref " << pin.index;
+            EXPECT_EQ(static_cast<int>(stream[pin.index].type),
+                      static_cast<int>(pin.type))
+                << "ref " << pin.index;
         }
     }
 }
