@@ -100,6 +100,55 @@ BM_SetAssocLookupHit(benchmark::State &state)
 }
 BENCHMARK(BM_SetAssocLookupHit)->Arg(0)->Arg(1);
 
+/**
+ * The TLB miss path: an L1 lookup and then an L2 lookup of an address
+ * no component holds, for each of the five designs perfbench runs.
+ * Both levels first take 1024 4KB pages and 64 2MB pages, so the
+ * probed sets are full; the lookups then visit 64 unmapped 4KB pages
+ * far from them in a fixed scrambled order. A split miss probes every
+ * component, and a miss changes no TLB state.
+ */
+void
+BM_TlbLookupMiss(benchmark::State &state)
+{
+    constexpr unsigned Pages = 64;
+    const auto design = static_cast<sim::TlbDesign>(state.range(0));
+    state.SetLabel(sim::designName(design));
+    stats::StatGroup root("bm");
+    auto l1 = sim::makeCpuL1(design, &root, nullptr);
+    auto l2 = sim::makeCpuL2(design, &root, nullptr);
+    const auto fill = [&](VAddr vbase, PageSize size) {
+        tlb::FillInfo info;
+        info.leaf.vbase = vbase;
+        info.leaf.pbase = vbase + (1ULL << 30);
+        info.leaf.size = size;
+        info.leaf.accessed = true;
+        info.vaddr = vbase;
+        l1->fill(info);
+        l2->fill(info);
+    };
+    const VAddr base = 1ULL << 32;
+    for (unsigned p = 0; p < 1024; p++)
+        fill(base + p * PageBytes4K, PageSize::Size4K);
+    for (unsigned p = 0; p < 64; p++)
+        fill(base + (1ULL << 30) + p * PageBytes2M, PageSize::Size2M);
+    const VAddr unmapped = 1ULL << 40;
+    unsigned i = 0;
+    for (auto _ : state) {
+        // Stride 37 (coprime with 64) visits every page once per lap.
+        i = (i + 37) % Pages;
+        const VAddr va = unmapped + i * PageBytes4K + 8;
+        benchmark::DoNotOptimize(l1->lookup(va, false));
+        benchmark::DoNotOptimize(l2->lookup(va, false));
+    }
+}
+BENCHMARK(BM_TlbLookupMiss)
+    ->Arg(static_cast<int>(sim::TlbDesign::Split))
+    ->Arg(static_cast<int>(sim::TlbDesign::Mix))
+    ->Arg(static_cast<int>(sim::TlbDesign::MixColt))
+    ->Arg(static_cast<int>(sim::TlbDesign::HashRehash))
+    ->Arg(static_cast<int>(sim::TlbDesign::Skew));
+
 void
 BM_MixTlbSuperpageFill(benchmark::State &state)
 {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "common/contracts.hh"
 #include "common/stats.hh"
@@ -32,7 +33,8 @@ struct BundleInfo
     VAddr vbase = 0;  ///< base of the first page in the run
     PAddr pbase = 0;  ///< physical base of the first page
     PageSize size = PageSize::Size4K;
-    std::uint64_t count = 1; ///< contiguous pages in the run
+    /** Contiguous pages in the run: at most one coalescing window. */
+    std::uint32_t count = 1;
     pt::Perms perms{};
     bool dirty = false;
 
@@ -63,21 +65,30 @@ std::uint64_t bundleSlots(const BundleInfo &bundle, PageSize size,
 /** Bits [lo, hi) of a 64-bit slot map; needs lo < hi <= 64. */
 std::uint64_t slotRange(unsigned lo, unsigned hi);
 
-/** Outcome of a TLB lookup. */
+/**
+ * Outcome of a TLB lookup: the outcome and its counts first, then the
+ * translation and the bundle.
+ */
 struct TlbLookup
 {
     bool hit = false;
-    /** Synthesized translation for the probed address (valid on hit). */
-    pt::Translation xlate{};
+    /** Dirty bit of the hit entry/bundle (drives the store micro-op). */
+    bool entryDirty = false;
     /** Sequential probe rounds performed (1 for single-index designs). */
     unsigned probes = 1;
     /** Entries read across all probes (dynamic lookup energy). */
     unsigned waysRead = 0;
-    /** Dirty bit of the hit entry/bundle (drives the store micro-op). */
-    bool entryDirty = false;
+    /** Synthesized translation for the probed address (valid on hit). */
+    pt::Translation xlate{};
     /** Coalescing info of the hit entry, for lower-level fills. */
     std::optional<BundleInfo> bundle;
 };
+
+// Every lookup returns one by value: above 80 bytes GCC zero-fills a
+// default-constructed result with `rep stos` instead of a few stores.
+static_assert(std::is_trivially_copyable_v<TlbLookup> &&
+                  sizeof(TlbLookup) <= 80,
+              "TlbLookup must stay a few plain stores to construct");
 
 /** Everything a fill might use. */
 struct FillInfo

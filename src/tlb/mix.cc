@@ -195,6 +195,32 @@ MixTlb::merge(Entry &existing, const Entry &incoming)
     existing.dirty = existing.dirty && incoming.dirty;
 }
 
+void
+MixTlb::bundleAround(const Entry &entry, VAddr vaddr,
+                     BundleInfo &bundle) const
+{
+    const std::uint64_t page = pageBytes(entry.size);
+    const auto slot = static_cast<unsigned>((vaddr - entry.wbase)
+                                            >> pageShift(entry.size));
+    unsigned lo, hi;
+    if (entry.size == PageSize::Size4K ||
+        params_.mode == CoalesceMode::Bitmap) {
+        std::tie(lo, hi) =
+            runAround(entry.bitmap, slot, groupSlots(entry.size));
+    } else {
+        lo = entry.runStart;
+        hi = entry.runStart + entry.length - 1;
+    }
+    bundle.vbase = entry.wbase + static_cast<std::uint64_t>(lo) * page;
+    bundle.pbase = entry.wpbase + static_cast<std::uint64_t>(lo) * page;
+    bundle.size = entry.size;
+    // Fits 32 bits: a bundle is at most one window, and a window is
+    // at most 68 slots in every evaluated geometry (group_ is 32-bit).
+    bundle.count = hi - lo + 1;
+    bundle.perms = entry.perms;
+    bundle.dirty = entry.dirty;
+}
+
 // mixcheck: hot
 TlbLookup
 MixTlb::lookup(VAddr vaddr, bool is_store)
@@ -255,7 +281,7 @@ MixTlb::lookup(VAddr vaddr, bool is_store)
         result.xlate.accessed = true;
         result.xlate.dirty = entry.dirty;
         result.entryDirty = entry.dirty;
-        result.bundle = bundleAround(entry, vaddr);
+        bundleAround(entry, vaddr, result.bundle.emplace());
     }
     recordLookup(result);
     return result;
@@ -421,31 +447,6 @@ MixTlb::fill(const FillInfo &fill)
         else
             blindInsert(s, entry);
     }
-}
-
-BundleInfo
-MixTlb::bundleAround(const Entry &entry, VAddr vaddr) const
-{
-    const std::uint64_t page = pageBytes(entry.size);
-    const auto slot = static_cast<unsigned>((vaddr - entry.wbase)
-                                            >> pageShift(entry.size));
-    unsigned lo, hi;
-    if (entry.size == PageSize::Size4K ||
-        params_.mode == CoalesceMode::Bitmap) {
-        std::tie(lo, hi) =
-            runAround(entry.bitmap, slot, groupSlots(entry.size));
-    } else {
-        lo = entry.runStart;
-        hi = entry.runStart + entry.length - 1;
-    }
-    BundleInfo bundle;
-    bundle.vbase = entry.wbase + static_cast<std::uint64_t>(lo) * page;
-    bundle.pbase = entry.wpbase + static_cast<std::uint64_t>(lo) * page;
-    bundle.size = entry.size;
-    bundle.count = hi - lo + 1;
-    bundle.perms = entry.perms;
-    bundle.dirty = entry.dirty;
-    return bundle;
 }
 
 void

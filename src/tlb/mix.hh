@@ -256,7 +256,8 @@ class MixTlb : public BaseTlb
     VAddr windowBase(VAddr vbase, PageSize size) const;
 
     /** Does @p entry cover @p vaddr (present slot)? */
-    bool entryCovers(const Entry &entry, VAddr vaddr) const;
+    [[gnu::always_inline]] inline bool entryCovers(const Entry &entry,
+                                                   VAddr vaddr) const;
 
     /**
      * Build the entry for a fill: the window around @p leaf populated
@@ -277,8 +278,13 @@ class MixTlb : public BaseTlb
     /** Insert without a merge check (non-probed mirror sets). */
     void blindInsert(unsigned set, const Entry &entry);
 
-    /** Synthesize the bundle around the slot covering @p vaddr. */
-    BundleInfo bundleAround(const Entry &entry, VAddr vaddr) const;
+    /**
+     * Write into @p bundle the run around the slot covering @p vaddr.
+     * Inlined into lookup(), which passes its result's bundle, so the
+     * run is built in place rather than returned through the stack.
+     */
+    [[gnu::always_inline]] inline void
+    bundleAround(const Entry &entry, VAddr vaddr, BundleInfo &bundle) const;
 
     /** Number of present pages in @p entry. */
     unsigned population(const Entry &entry) const;

@@ -136,9 +136,13 @@ class SetAssocTlb final : public BaseTlb
                asid;
     }
 
-    /** First way matching (vpn, size, active ASID), or npos. */
-    std::size_t find(TagLaneSet<Entry> set, std::uint64_t vpn,
-                     PageSize size) const;
+    /**
+     * First way matching (vpn, size, active ASID), or npos. Forced
+     * inline into lookup() and fill(), so the set view stays in
+     * registers instead of passing through the stack.
+     */
+    [[gnu::always_inline]] inline std::size_t
+    find(TagLaneSet<Entry> set, std::uint64_t vpn, PageSize size) const;
 
     /** The predicted size first, then the rest in order (in probeOrder_). */
     const PageSize *predictedOrder(VAddr vaddr);

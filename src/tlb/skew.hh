@@ -33,7 +33,7 @@ struct SkewTlbParams
     unsigned predictorEntries = 512;
 };
 
-class SkewTlb : public BaseTlb
+class SkewTlb final : public BaseTlb
 {
   public:
     SkewTlb(const std::string &name, stats::StatGroup *parent,
@@ -77,8 +77,12 @@ class SkewTlb : public BaseTlb
     /** The skewing hash of way @p way for @p vpn. */
     std::uint64_t rowOf(unsigned way, std::uint64_t vpn) const;
 
-    /** Probe the ways of one size; returns hit way or -1. */
-    int probeSize(VAddr vaddr, PageSize size, unsigned *ways_read);
+    /**
+     * Probe the ways of one size; returns hit way or -1. Forced inline
+     * into lookup(), whose ways-read count then stays in a register.
+     */
+    [[gnu::always_inline]] inline int
+    probeSize(VAddr vaddr, PageSize size, unsigned *ways_read);
 };
 
 } // namespace mixtlb::tlb

@@ -12,6 +12,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "common/contracts.hh"
@@ -199,6 +201,97 @@ TEST(Split, SuperpageThrashingDespiteFreeSmallEntries)
     for (int i = 0; i < 8; i++)
         resident += split.lookup(i * PageBytes2M, false).hit ? 1 : 0;
     EXPECT_EQ(resident, 4u);
+}
+
+namespace
+{
+
+/**
+ * A split TLB with 4KB, 2MB and 1GB components holding one page each;
+ * the 4KB component is COLT (a one-size MixTlb) when @p colt.
+ */
+struct ReplaySplit
+{
+    stats::StatGroup root{"test"};
+    SplitTlb split{"split", &root};
+    /** The split, then its components. */
+    std::vector<const BaseTlb *> tlbs{&split};
+
+    explicit ReplaySplit(bool colt)
+    {
+        if (colt) {
+            add(std::make_unique<MixTlb>(
+                "t4k", &root, coltParams(16, 4, PageSize::Size4K)));
+        } else {
+            add(std::make_unique<SetAssocTlb>(
+                "t4k", &root, SetAssocParams{16, 4, {PageSize::Size4K}}));
+        }
+        add(std::make_unique<SetAssocTlb>(
+            "t2m", &root, SetAssocParams{8, 4, {PageSize::Size2M}}));
+        add(std::make_unique<SetAssocTlb>(
+            "t1g", &root, SetAssocParams{4, 4, {PageSize::Size1G}}));
+        split.fill(simpleFill(xlate4k(0x1000, 0x10000)));
+        split.fill(simpleFill(xlate2m(0x00400000, 0x0)));
+        pt::Translation giga;
+        giga.vbase = GiB;
+        giga.pbase = 2 * GiB;
+        giga.size = PageSize::Size1G;
+        giga.accessed = true;
+        split.fill(simpleFill(giga));
+    }
+
+    void add(std::unique_ptr<BaseTlb> component)
+    {
+        tlbs.push_back(&split.addComponent(std::move(component)));
+    }
+
+    /** Hits, misses, probes and ways read of every TLB in tlbs. */
+    std::vector<double>
+    counters() const
+    {
+        std::vector<double> out;
+        for (const BaseTlb *tlb : tlbs) {
+            out.insert(out.end(), {tlb->hits(), tlb->misses(),
+                                   tlb->probeCount(),
+                                   tlb->waysReadCount()});
+        }
+        return out;
+    }
+};
+
+} // anonymous namespace
+
+TEST(Split, ReplayLookupMatchesRepeatedLookups)
+{
+    // The L0 filter replays a split lookup from the per-component
+    // outcomes the lookup kept; n replays must count exactly what n
+    // real lookups count, in the split and in every component.
+    constexpr std::uint64_t N = 5;
+    const struct
+    {
+        const char *what;
+        VAddr vaddr;
+        bool hit;
+    } cases[] = {
+        {"4KB hit", 0x1008, true},
+        {"2MB hit", 0x00412345, true},
+        {"1GB hit", GiB + 0x12345678, true},
+        {"miss", 8 * GiB + 0x5000, false},
+    };
+    for (bool colt : {false, true}) {
+        for (const auto &c : cases) {
+            SCOPED_TRACE(std::string(c.what) + (colt ? " (COLT)" : ""));
+            ReplaySplit replayed(colt);
+            ReplaySplit real(colt);
+            const TlbLookup result = replayed.split.lookup(c.vaddr, false);
+            ASSERT_EQ(result.hit, c.hit);
+            ASSERT_TRUE(replayed.split.replayable(result, c.vaddr));
+            replayed.split.replayLookup(result, N);
+            for (std::uint64_t i = 0; i <= N; i++)
+                ASSERT_EQ(real.split.lookup(c.vaddr, false).hit, c.hit);
+            EXPECT_EQ(replayed.counters(), real.counters());
+        }
+    }
 }
 
 TEST(HashRehash, ProbeCountsAndHits)
